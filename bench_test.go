@@ -21,7 +21,6 @@ import (
 	"cpr/internal/cache"
 	"cpr/internal/conflict"
 	"cpr/internal/core"
-	"cpr/internal/cutmask"
 	"cpr/internal/design"
 	"cpr/internal/grid"
 	"cpr/internal/ilp"
@@ -405,7 +404,7 @@ func BenchmarkCutMaskAnalysis(b *testing.B) {
 	res := router.New(d, g, router.Config{}).Run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := cutmask.Analyze(d, g, res, cutmask.Params{})
+		rep := AnalyzeCutMask(d, &RunResult{Router: res}, CutMaskParams{})
 		b.ReportMetric(float64(rep.MaskComplexity()), "cutShapes")
 	}
 }
@@ -503,7 +502,7 @@ func BenchmarkRuleEngines(b *testing.B) {
 				}
 				b.StopTimer()
 				g := grid.New(d)
-				mask := tech.RulesFor(d.Tech).AnalyzeMask(cutmask.Segments(g, res.Router), d.Width, d.Height)
+				mask := tech.RulesFor(d.Tech).AnalyzeMask(router.ResultSegments(g, res.Router), d.Width, d.Height)
 				if engine == tech.EngineTPL && mask.Uncolorable != 0 {
 					b.Fatalf("tpl left %d uncolorable segments on benchlarge", mask.Uncolorable)
 				}

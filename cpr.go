@@ -33,7 +33,6 @@ import (
 
 	"cpr/internal/assign"
 	"cpr/internal/core"
-	"cpr/internal/cutmask"
 	"cpr/internal/design"
 	"cpr/internal/designio"
 	"cpr/internal/experiments"
@@ -231,16 +230,50 @@ func VerifyRouting(d *Design, res *RunResult) []string {
 	return rep.Errors
 }
 
-// CutMaskReport is the SADP cut mask analysis of a routing result.
-type CutMaskReport = cutmask.Report
+// CutMaskParams tunes the SADP cut mask rules. Nil fields inherit the
+// design technology's (resolved) SADP patterning parameters, so an
+// explicit zero is honored rather than silently replaced by the default.
+type CutMaskParams struct {
+	// CutSpacing is the minimum free distance (grid cells) between two
+	// distinct cuts on the same or adjacent tracks. Nil inherits the
+	// technology's value (default 2).
+	CutSpacing *int
+	// MergeTolerance is the maximum along-track offset at which cuts on
+	// adjacent tracks still merge into one cut shape. Nil inherits the
+	// technology's value (default 0: exact alignment).
+	MergeTolerance *int
+}
 
-// CutMaskParams tunes the cut mask rules.
-type CutMaskParams = cutmask.Params
+// CutMaskReport is the SADP cut mask analysis of a routing result.
+type CutMaskReport struct {
+	// LineEnds counts all metal strip ends (two per strip, minus grid
+	// boundary ends, which need no cut).
+	LineEnds int
+	// Shapes is the merged cut mask, deterministic order.
+	Shapes []tech.CutShape
+	// Conflicts counts pairs of distinct shapes on the same or adjacent
+	// tracks closer than CutSpacing along the track direction.
+	Conflicts int
+}
+
+// MaskComplexity is the number of distinct cut shapes after merging —
+// the metric cut mask optimization minimizes.
+func (r *CutMaskReport) MaskComplexity() int { return len(r.Shapes) }
 
 // AnalyzeCutMask extracts, merges, and checks the SADP cut mask implied
 // by a run's routes (the paper's SAMP extendability, §4).
 func AnalyzeCutMask(d *Design, res *RunResult, params CutMaskParams) *CutMaskReport {
-	return cutmask.Analyze(d, grid.New(d), res.Router, params)
+	p := d.Tech.Patterning.Resolved()
+	cutSpacing, mergeTol := p.CutSpacing, p.MergeTolerance
+	if params.CutSpacing != nil {
+		cutSpacing = *params.CutSpacing
+	}
+	if params.MergeTolerance != nil {
+		mergeTol = *params.MergeTolerance
+	}
+	segs := router.ResultSegments(grid.New(d), res.Router)
+	mask := tech.AnalyzeCuts(segs, d.Width, d.Height, d.Tech.LineEndExtension, mergeTol, cutSpacing)
+	return &CutMaskReport{LineEnds: mask.LineEnds, Shapes: mask.CutShapes, Conflicts: mask.Conflicts}
 }
 
 // Experiment entry points: each regenerates one table or figure of the

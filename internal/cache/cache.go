@@ -1,5 +1,5 @@
 // Package cache is the content-addressed result cache behind the cprd
-// daemon. It is two-level:
+// daemon. It has three levels (see ThreeLevel):
 //
 //   - the design level stores completed optimization results under the
 //     SHA-256 of the design's canonical encoding combined with a
@@ -9,9 +9,12 @@
 //     SHA-256 of one panel's canonical input encoding (see
 //     pipeline.WritePanelInputs) combined with the solver fingerprint,
 //     so an edited design that misses the design level still reuses
-//     every panel the edit provably cannot affect.
+//     every panel the edit provably cannot affect;
+//   - the route level stores per-region route artifacts under RouteKey,
+//     so the same edit also reuses every routing region it cannot
+//     affect.
 //
-// Both levels are in-memory LRUs bounded by entry count, safe for
+// Each level's memory tier is an LRU bounded by entry count, safe for
 // concurrent use, with hit/miss/eviction counters cheap enough to read on
 // every /v1/stats request.
 package cache

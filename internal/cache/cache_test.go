@@ -70,3 +70,27 @@ func TestCachePutReplace(t *testing.T) {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
 }
+
+// TestContainsDoesNotTouchCounters: Contains is the re-warm probe used
+// by jobs.SubmitBase; it must not distort the hit/miss accounting that
+// /v1/stats reports.
+func TestContainsDoesNotTouchCounters(t *testing.T) {
+	c := New[int](4)
+	c.Put("k", 1)
+	if !c.Contains("k") || c.Contains("missing") {
+		t.Fatal("Contains gave wrong answers")
+	}
+	st := c.Stats()
+	if st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Contains touched counters: %+v", st)
+	}
+	// Contains must not promote: k becomes LRU after newer entries.
+	c.Put("a", 2)
+	c.Put("b", 3)
+	c.Put("c", 4)
+	c.Contains("k")
+	c.Put("d", 5) // evicts k
+	if c.Contains("k") {
+		t.Error("Contains promoted k in LRU order")
+	}
+}

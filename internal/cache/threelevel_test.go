@@ -53,6 +53,26 @@ func TestThreeLevelIndependentAccounting(t *testing.T) {
 	}
 }
 
+// TestThreeLevelDefaultCapacities: non-positive capacities take the cache
+// package default rather than creating an unbounded or zero-size level.
+func TestThreeLevelDefaultCapacities(t *testing.T) {
+	tl := NewThreeLevel[int, int, int](0, -1, 0)
+	for i := 0; i < 1030; i++ {
+		tl.Panel.Put(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('A'+i/260)), i)
+	}
+	if n := tl.Panel.Len(); n > 1024 {
+		t.Errorf("panel level grew to %d entries; default capacity not applied", n)
+	}
+	tl.Design.Put("k", 1)
+	if tl.Design.Len() != 1 {
+		t.Error("design level rejected an entry")
+	}
+	tl.Route.Put("r", 1)
+	if tl.Route.Len() != 1 {
+		t.Error("route level rejected an entry")
+	}
+}
+
 func TestThreeLevelPerLevelEviction(t *testing.T) {
 	tl := NewThreeLevel[string, string, string](1, 2, 3)
 	for i := 0; i < 4; i++ {

@@ -494,11 +494,7 @@ func runRouter(ctx context.Context, r *router.Router, res *RunResult) *router.Re
 	span.SetAttr("wirelength", rres.Wirelength)
 	span.SetAttr("negotiation_iters", rres.NegotiationIters)
 	span.End()
-	if reg := telemetry.RegistryFrom(ctx); reg != nil {
-		reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
-			telemetry.DefSecondsBuckets, telemetry.L("stage", "route")).
-			Observe(rres.Elapsed.Seconds())
-	}
+	telemetry.RegistryFrom(ctx).ObserveStage("route", rres.Elapsed)
 	return rres
 }
 
@@ -683,8 +679,6 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 		poSpan.SetAttr("reused", inc.Reused)
 	}
 	poSpan.End()
-	reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
-		telemetry.DefSecondsBuckets, telemetry.L("stage", "pinopt")).
-		Observe(report.Elapsed.Seconds())
+	reg.ObserveStage("pinopt", report.Elapsed)
 	return report, seeds, arts, inc, nil
 }

@@ -129,11 +129,7 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	span.End()
 
 	reg := telemetry.RegistryFrom(ctx)
-	if reg != nil {
-		reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
-			telemetry.DefSecondsBuckets, telemetry.L("stage", "route")).
-			Observe(rres.Elapsed.Seconds())
-	}
+	reg.ObserveStage("route", rres.Elapsed)
 	const netsHelp = "Nets finalized per routing run, by provenance."
 	reg.Counter("cpr_router_nets_total", netsHelp, telemetry.L("source", "spliced")).
 		Add(float64(rres.SplicedNets))

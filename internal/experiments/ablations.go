@@ -6,12 +6,13 @@ import (
 
 	"cpr/internal/assign"
 	"cpr/internal/core"
-	"cpr/internal/cutmask"
 	"cpr/internal/design"
 	"cpr/internal/grid"
 	"cpr/internal/lagrange"
 	"cpr/internal/pinaccess"
+	"cpr/internal/router"
 	"cpr/internal/synth"
+	"cpr/internal/tech"
 )
 
 // AblationProfit compares the paper's sqrt profit against a linear profit
@@ -180,9 +181,11 @@ func CutMaskComparison(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		rep := cutmask.Analyze(d, grid.New(d), res.Router, cutmask.Params{})
+		p := d.Tech.Patterning.Resolved()
+		rep := tech.AnalyzeCuts(router.ResultSegments(grid.New(d), res.Router),
+			d.Width, d.Height, d.Tech.LineEndExtension, p.MergeTolerance, p.CutSpacing)
 		fmt.Fprintf(w, "%-12s %10d %12d %10d\n",
-			mode, rep.LineEnds, rep.MaskComplexity(), rep.Conflicts)
+			mode, rep.LineEnds, rep.Shapes, rep.Conflicts)
 	}
 	return nil
 }

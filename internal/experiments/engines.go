@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"cpr/internal/core"
-	"cpr/internal/cutmask"
 	"cpr/internal/grid"
+	"cpr/internal/router"
 	"cpr/internal/synth"
 	"cpr/internal/tech"
 	"cpr/internal/verify"
@@ -63,7 +63,7 @@ func RuleEngineMatrix(w io.Writer, cfg Config) ([]RuleEngineRow, error) {
 			}
 			g := grid.New(d)
 			rules := tech.RulesFor(d.Tech)
-			mask := rules.AnalyzeMask(cutmask.Segments(g, res.Router), d.Width, d.Height)
+			mask := rules.AnalyzeMask(router.ResultSegments(g, res.Router), d.Width, d.Height)
 			rep := verify.Check(d, g, res.Router)
 			row := RuleEngineRow{
 				Circuit:     name,

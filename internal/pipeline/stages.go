@@ -222,10 +222,7 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, panel int, pinIDs []int, cfg SolverConfig, workers int) (*PanelArtifact, error) {
 	reg := telemetry.RegistryFrom(ctx)
 	observe := func(stage string, start time.Time) {
-		elapsed := time.Since(start) //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
-		reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
-			telemetry.DefSecondsBuckets, telemetry.L("stage", stage)).
-			Observe(elapsed.Seconds())
+		reg.ObserveStage(stage, time.Since(start)) //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
 	}
 
 	_, genSpan := telemetry.StartSpan(ctx, "generate")

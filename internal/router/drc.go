@@ -1,107 +1,57 @@
 package router
 
 import (
+	"slices"
 	"sort"
 
-	"cpr/internal/geom"
 	"cpr/internal/grid"
 	"cpr/internal/tech"
 )
 
-// metalSegment is one maximal unidirectional metal strip of a routed net
-// after line-end extension. For M2 (horizontal), track is the y row and
-// span covers x; for M3 (vertical), track is the x column and span covers
-// y.
-type metalSegment struct {
-	netID int
-	layer int
-	track int
-	span  geom.Interval
-}
-
-// segmentsOf decomposes a route into per-track metal strips on the routing
-// layers, including via-only landings (single-cell strips).
-func (r *Router) segmentsOf(nr *NetRoute) []metalSegment {
-	m2 := make(map[int][]int) // y -> xs
-	m3 := make(map[int][]int) // x -> ys
+// Segments decomposes a route into maximal per-track metal strips on the
+// routing layers, including via-only landings (single-cell strips), in
+// (layer M2 then M3, track, lo) order. Every M2/M3 node becomes one
+// sortable (layer, track, position) key, so the order depends only on the
+// node set — never on node order or duplicates — and flows unchanged into
+// nr.Virtual and from there into the cached result.
+func Segments(g *grid.Graph, nr *NetRoute) []tech.Seg {
+	plane := g.W * g.H
+	keys := make([]int, 0, len(nr.Nodes))
 	for _, id := range nr.Nodes {
-		x, y, z := r.g.Coords(id)
+		x, y, z := g.Coords(id)
 		switch z {
 		case tech.M2:
-			m2[y] = append(m2[y], x)
+			keys = append(keys, y*g.W+x)
 		case tech.M3:
-			m3[x] = append(m3[x], y)
+			keys = append(keys, plane+x*g.H+y)
 		}
 	}
-	// Iterate tracks in sorted order: seg order flows into nr.Virtual and
-	// from there into the result, so map order must not leak.
-	var segs []metalSegment
-	for _, track := range sortedTracks(m2) {
-		for _, span := range runs(m2[track]) {
-			segs = append(segs, metalSegment{netID: nr.NetID, layer: tech.M2, track: track, span: span})
+	slices.Sort(keys)
+	var segs []tech.Seg
+	for _, k := range keys {
+		layer, track, pos := tech.M2, k/g.W, k%g.W
+		if k >= plane {
+			layer, track, pos = tech.M3, (k-plane)/g.H, (k-plane)%g.H
 		}
-	}
-	for _, track := range sortedTracks(m3) {
-		for _, span := range runs(m3[track]) {
-			segs = append(segs, metalSegment{netID: nr.NetID, layer: tech.M3, track: track, span: span})
+		if n := len(segs); n > 0 && segs[n-1].Layer == layer && segs[n-1].Track == track && pos <= segs[n-1].Hi+1 {
+			segs[n-1].Hi = pos
+			continue
 		}
+		segs = append(segs, tech.Seg{Net: nr.NetID, Layer: layer, Track: track, Lo: pos, Hi: pos})
 	}
 	return segs
 }
 
-// sortedTracks returns a track map's keys in ascending order.
-func sortedTracks(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// runs converts a cell coordinate multiset into maximal consecutive runs.
-func runs(cells []int) []geom.Interval {
-	if len(cells) == 0 {
-		return nil
-	}
-	sort.Ints(cells)
-	var out []geom.Interval
-	cur := geom.Interval{Lo: cells[0], Hi: cells[0]}
-	for _, c := range cells[1:] {
-		switch {
-		case c == cur.Hi || c == cur.Hi+1:
-			if c > cur.Hi {
-				cur.Hi = c
-			}
-		default:
-			out = append(out, cur)
-			cur = geom.Interval{Lo: c, Hi: c}
+// ResultSegments concatenates Segments over every routed net of a result
+// in net order: the raw input the rule engines' mask analyses consume.
+func ResultSegments(g *grid.Graph, res *Result) []tech.Seg {
+	var segs []tech.Seg
+	for _, nr := range res.Routes {
+		if nr != nil && nr.Routed {
+			segs = append(segs, Segments(g, nr)...)
 		}
 	}
-	return append(out, cur)
-}
-
-// extend applies the SADP line-end extension and the minimum line length
-// rule, clamped to the grid extent limit (exclusive upper bound).
-func extendSegment(span geom.Interval, ext, minLen, limit int) geom.Interval {
-	span.Lo -= ext
-	span.Hi += ext
-	for span.Len() < minLen {
-		if span.Hi < limit-1 {
-			span.Hi++
-		} else if span.Lo > 0 {
-			span.Lo--
-		} else {
-			break
-		}
-	}
-	if span.Lo < 0 {
-		span.Lo = 0
-	}
-	if span.Hi > limit-1 {
-		span.Hi = limit - 1
-	}
-	return span
+	return segs
 }
 
 // enforceLineEndRules extends every routed member net's line-ends per
@@ -118,61 +68,42 @@ func (s *shard) enforceLineEndRules() int {
 	r := s.Router
 	rules := r.rules()
 
-	limitFor := func(layer int) int {
-		if layer == tech.M2 {
-			return r.d.Width
-		}
-		return r.d.Height
-	}
-
 	// Collect extended segments per (layer, track).
 	type trackKey struct{ layer, track int }
-	build := func() map[trackKey][]metalSegment {
-		byTrack := make(map[trackKey][]metalSegment)
+	build := func() map[trackKey][]tech.Seg {
+		byTrack := make(map[trackKey][]tech.Seg)
 		for _, netID := range s.region.Nets {
 			nr := s.routes[netID]
 			if nr == nil || !nr.Routed {
 				continue
 			}
-			for _, seg := range r.segmentsOf(nr) {
-				seg.span.Lo, seg.span.Hi = rules.ExtendSpan(seg.span.Lo, seg.span.Hi, limitFor(seg.layer))
-				k := trackKey{seg.layer, seg.track}
+			for _, seg := range Segments(r.g, nr) {
+				seg.Lo, seg.Hi = rules.ExtendSpan(seg.Lo, seg.Hi, r.trackLen(seg.Layer))
+				k := trackKey{seg.Layer, seg.Track}
 				byTrack[k] = append(byTrack[k], seg)
 			}
 		}
-		for k := range byTrack {
-			segs := byTrack[k]
+		for _, segs := range byTrack {
 			sort.Slice(segs, func(a, b int) bool {
-				if segs[a].span.Lo != segs[b].span.Lo {
-					return segs[a].span.Lo < segs[b].span.Lo
+				if segs[a].Lo != segs[b].Lo {
+					return segs[a].Lo < segs[b].Lo
 				}
-				return segs[a].netID < segs[b].netID
+				return segs[a].Net < segs[b].Net
 			})
-			byTrack[k] = segs
 		}
 		return byTrack
 	}
 
 	// violationsPerNet counts the engine's track rule violations and
 	// blockage violations.
-	violationsPerNet := func(byTrack map[trackKey][]metalSegment) map[int]int {
+	violationsPerNet := func(byTrack map[trackKey][]tech.Seg) map[int]int {
 		vio := make(map[int]int)
-		for k, segs := range byTrack {
-			strips := make([]tech.Seg, len(segs))
-			for i, seg := range segs {
-				strips[i] = tech.Seg{
-					Net:   seg.netID,
-					Layer: k.layer,
-					Track: k.track,
-					Lo:    seg.span.Lo,
-					Hi:    seg.span.Hi,
-				}
-			}
-			rules.TrackViolations(strips, func(net int) { vio[net]++ })
+		for _, segs := range byTrack {
+			rules.TrackViolations(segs, func(net int) { vio[net]++ })
 			// Blockage overlap on the same layer/track.
 			for _, seg := range segs {
-				if r.segmentHitsBlockage(k.layer, k.track, seg.span) {
-					vio[seg.netID]++
+				if r.segmentHitsBlockage(seg) {
+					vio[seg.Net]++
 				}
 			}
 		}
@@ -184,26 +115,12 @@ func (s *shard) enforceLineEndRules() int {
 	// will need (the engine's avoid margin: other strips are already
 	// extended, so the margin keeps the final gap legal for a rerouted
 	// net whose mask assignment is not yet known).
-	buildAvoid := func(byTrack map[trackKey][]metalSegment) map[grid.NodeID]bool {
+	buildAvoid := func(byTrack map[trackKey][]tech.Seg) map[grid.NodeID]bool {
 		margin := rules.AvoidMargin()
 		avoid := make(map[grid.NodeID]bool)
-		for k, segs := range byTrack {
-			limit := limitFor(k.layer)
+		for _, segs := range byTrack {
 			for _, seg := range segs {
-				lo, hi := seg.span.Lo-margin, seg.span.Hi+margin
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > limit-1 {
-					hi = limit - 1
-				}
-				for c := lo; c <= hi; c++ {
-					if k.layer == tech.M2 {
-						avoid[r.g.ID(c, k.track, tech.M2)] = true
-					} else {
-						avoid[r.g.ID(k.track, c, tech.M3)] = true
-					}
-				}
+				r.widenedCells(seg, margin, func(id grid.NodeID) { avoid[id] = true })
 			}
 		}
 		return avoid
@@ -283,19 +200,36 @@ func (s *shard) enforceLineEndRules() int {
 
 // segmentHitsBlockage reports whether an extended strip overlaps a design
 // blockage cell on its layer.
-func (r *Router) segmentHitsBlockage(layer, track int, span geom.Interval) bool {
-	if layer == tech.M2 {
-		for x := span.Lo; x <= span.Hi; x++ {
-			if r.g.Blocked(r.g.ID(x, track, tech.M2)) {
-				return true
-			}
-		}
-		return false
-	}
-	for y := span.Lo; y <= span.Hi; y++ {
-		if r.g.Blocked(r.g.ID(track, y, tech.M3)) {
+func (r *Router) segmentHitsBlockage(seg tech.Seg) bool {
+	for c := seg.Lo; c <= seg.Hi; c++ {
+		if r.g.Blocked(r.cell(seg, c)) {
 			return true
 		}
 	}
 	return false
+}
+
+// widenedCells calls fn on every cell of a strip widened by margin at
+// both ends, clamped to its track.
+func (r *Router) widenedCells(seg tech.Seg, margin int, fn func(grid.NodeID)) {
+	lo, hi := max(seg.Lo-margin, 0), min(seg.Hi+margin, r.trackLen(seg.Layer)-1)
+	for c := lo; c <= hi; c++ {
+		fn(r.cell(seg, c))
+	}
+}
+
+// trackLen is the number of cells along a layer's tracks.
+func (r *Router) trackLen(layer int) int {
+	if layer == tech.M2 {
+		return r.d.Width
+	}
+	return r.d.Height
+}
+
+// cell returns the node at along-track position c of a strip's track.
+func (r *Router) cell(seg tech.Seg, c int) grid.NodeID {
+	if seg.Layer == tech.M2 {
+		return r.g.ID(c, seg.Track, tech.M2)
+	}
+	return r.g.ID(seg.Track, c, tech.M3)
 }

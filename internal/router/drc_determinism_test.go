@@ -11,10 +11,10 @@ import (
 	"cpr/internal/tech"
 )
 
-// TestSegmentsOfNodeOrderInvariant feeds segmentsOf the same node set in
-// shuffled orders and requires identical segment slices: segment order
-// flows into nr.Virtual and from there into the cached result, so it must
-// not depend on map iteration or node insertion order.
+// TestSegmentsOfNodeOrderInvariant feeds Segments the same node set in
+// shuffled and duplicated orders and requires identical segment slices:
+// segment order flows into nr.Virtual and from there into the cached
+// result, so it must not depend on node insertion order or repeats.
 func TestSegmentsOfNodeOrderInvariant(t *testing.T) {
 	d := design.New("segperm", 20, 20, tech.Default())
 	id := d.AddNet("n0")
@@ -24,7 +24,6 @@ func TestSegmentsOfNodeOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New(d)
-	r := New(d, g, Config{})
 
 	// Metal on three M2 tracks (two runs on track 2) and two M3 columns.
 	var nodes []grid.NodeID
@@ -44,17 +43,18 @@ func TestSegmentsOfNodeOrderInvariant(t *testing.T) {
 		nodes = append(nodes, g.ID(9, y, tech.M3))
 	}
 
-	base := r.segmentsOf(&NetRoute{NetID: id, Nodes: nodes})
+	base := Segments(g, &NetRoute{NetID: id, Nodes: nodes})
 	if len(base) != 5 {
 		t.Fatalf("expected 5 segments, got %d: %+v", len(base), base)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		shuffled := append([]grid.NodeID(nil), nodes...)
+		shuffled = append(shuffled, nodes[:rng.Intn(len(nodes))]...)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		got := r.segmentsOf(&NetRoute{NetID: id, Nodes: shuffled})
+		got := Segments(g, &NetRoute{NetID: id, Nodes: shuffled})
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: segment order depends on node order:\nbase %+v\ngot  %+v",
 				trial, base, got)

@@ -897,20 +897,12 @@ func (r *Router) computeVirtual(nr *NetRoute) {
 			nr.Virtual = append(nr.Virtual, id)
 		}
 	}
-	for _, s := range r.segmentsOf(nr) {
-		limit := r.d.Width
-		if s.layer == tech.M3 {
-			limit = r.d.Height
-		}
+	for _, s := range Segments(r.g, nr) {
+		limit := r.trackLen(s.Layer)
 		for m := 1; m <= margin; m++ {
-			for _, c := range []int{s.span.Lo - m, s.span.Hi + m} {
-				if c < 0 || c > limit-1 {
-					continue
-				}
-				if s.layer == tech.M2 {
-					add(r.g.ID(c, s.track, tech.M2))
-				} else {
-					add(r.g.ID(s.track, c, tech.M3))
+			for _, c := range []int{s.Lo - m, s.Hi + m} {
+				if c >= 0 && c <= limit-1 {
+					add(r.cell(s, c))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 
 	"cpr/internal/assign"
@@ -257,38 +258,26 @@ func TestSkipDRCSkipsOnlyFinalCheck(t *testing.T) {
 	}
 }
 
+// TestRunsHelper: Segments merges one track's cells into maximal
+// consecutive runs in ascending order, and an empty route has no strips.
 func TestRunsHelper(t *testing.T) {
-	got := runs([]int{5, 1, 2, 3, 7, 8})
-	want := []geom.Interval{{Lo: 1, Hi: 3}, {Lo: 5, Hi: 5}, {Lo: 7, Hi: 8}}
-	if len(got) != len(want) {
-		t.Fatalf("runs = %v, want %v", got, want)
+	d := twoPinDesign(t)
+	g := grid.New(d)
+	var nodes []grid.NodeID
+	for _, x := range []int{5, 1, 2, 3, 7, 8} {
+		nodes = append(nodes, g.ID(x, 6, tech.M2))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("runs[%d] = %v, want %v", i, got[i], want[i])
-		}
+	got := Segments(g, &NetRoute{NetID: 0, Nodes: nodes})
+	want := []tech.Seg{
+		{Net: 0, Layer: tech.M2, Track: 6, Lo: 1, Hi: 3},
+		{Net: 0, Layer: tech.M2, Track: 6, Lo: 5, Hi: 5},
+		{Net: 0, Layer: tech.M2, Track: 6, Lo: 7, Hi: 8},
 	}
-	if runs(nil) != nil {
-		t.Error("runs(nil) should be nil")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Segments = %+v, want %+v", got, want)
 	}
-}
-
-func TestExtendSegment(t *testing.T) {
-	// ext=1, minLen=2, limit=20.
-	if got := extendSegment(geom.Interval{Lo: 5, Hi: 8}, 1, 2, 20); got != (geom.Interval{Lo: 4, Hi: 9}) {
-		t.Errorf("extend = %v, want [4,9]", got)
-	}
-	// Clamping at the boundary.
-	if got := extendSegment(geom.Interval{Lo: 0, Hi: 2}, 1, 2, 20); got != (geom.Interval{Lo: 0, Hi: 3}) {
-		t.Errorf("extend = %v, want [0,3]", got)
-	}
-	// Min length enforcement on a single-cell strip with no extension.
-	if got := extendSegment(geom.Interval{Lo: 4, Hi: 4}, 0, 3, 20); got.Len() != 3 {
-		t.Errorf("extend = %v, want length 3", got)
-	}
-	// Narrow grid caps growth.
-	if got := extendSegment(geom.Interval{Lo: 0, Hi: 0}, 0, 5, 3); got.Len() != 3 {
-		t.Errorf("extend on narrow grid = %v, want length 3", got)
+	if got := Segments(g, &NetRoute{}); got != nil {
+		t.Errorf("Segments of an empty route = %+v, want nil", got)
 	}
 }
 

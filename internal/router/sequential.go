@@ -94,25 +94,8 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	// clearanceCells enumerates a route's line-end clearance zone.
 	clearanceCells := func(nr *NetRoute) []grid.NodeID {
 		var cells []grid.NodeID
-		for _, seg := range r.segmentsOf(nr) {
-			limit := r.d.Width
-			if seg.layer == tech.M3 {
-				limit = r.d.Height
-			}
-			lo, hi := seg.span.Lo-clearance, seg.span.Hi+clearance
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > limit-1 {
-				hi = limit - 1
-			}
-			for c := lo; c <= hi; c++ {
-				if seg.layer == tech.M2 {
-					cells = append(cells, r.g.ID(c, seg.track, tech.M2))
-				} else {
-					cells = append(cells, r.g.ID(seg.track, c, tech.M3))
-				}
-			}
+		for _, seg := range Segments(r.g, nr) {
+			r.widenedCells(seg, clearance, func(id grid.NodeID) { cells = append(cells, id) })
 		}
 		return cells
 	}

@@ -13,7 +13,7 @@
 //
 //   - sadp (default): self-aligned double patterning. Line-ends are
 //     produced by cuts; the mask analysis extracts and merges the cut
-//     mask and counts residual cut conflicts (cf. cutmask).
+//     mask and counts residual cut conflicts (AnalyzeCuts).
 //   - lele: litho-etch-litho-etch double patterning. Strips on a track
 //     alternate between the two masks, so adjacent tips need the
 //     diff-mask spacing (LineEndSpacing) while next-nearest tips land on
@@ -211,6 +211,9 @@ type MaskReport struct {
 	Colors int
 	// Segments is the number of metal strips analyzed.
 	Segments int
+	// LineEnds is the sadp pre-merge cut count: every strip end that
+	// stays inside the grid after extension. Zero for other engines.
+	LineEnds int
 	// ColorOf assigns each input segment a mask color in [0, Colors), or
 	// -1 for an uncolorable segment; parallel to the input slice. Nil
 	// for single-mask engines.

@@ -323,3 +323,21 @@ func TestRulesForPanicsOnUnvalidatedEngine(t *testing.T) {
 	}()
 	RulesFor(d)
 }
+
+func TestConflictDetection(t *testing.T) {
+	// Hand-built shapes: same track range, 1 apart with spacing 2.
+	shapes := []CutShape{
+		{Layer: M2, Pos: 10, TrackLo: 3, TrackHi: 3, Cuts: 1},
+		{Layer: M2, Pos: 11, TrackLo: 4, TrackHi: 4, Cuts: 1},
+		{Layer: M2, Pos: 20, TrackLo: 3, TrackHi: 3, Cuts: 1}, // far away
+		{Layer: M3, Pos: 11, TrackLo: 3, TrackHi: 3, Cuts: 1}, // other layer
+	}
+	if got := countCutConflicts(shapes, 2); got != 1 {
+		t.Errorf("conflicts = %d, want 1", got)
+	}
+	// Distant tracks never conflict.
+	shapes[1].TrackLo, shapes[1].TrackHi = 8, 8
+	if got := countCutConflicts(shapes, 2); got != 0 {
+		t.Errorf("conflicts = %d, want 0", got)
+	}
+}

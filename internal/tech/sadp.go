@@ -5,8 +5,7 @@ import "sort"
 // sadpRules is the default engine: self-aligned double patterning. The
 // track-level rules are exactly the pre-engine router's behavior — the
 // engine refactor is byte-invisible under sadp — and the mask analysis
-// is the cut extraction/merge/conflict pipeline the cutmask package
-// exposes as a post-routing report.
+// is AnalyzeCuts under the technology's cut parameters.
 type sadpRules struct {
 	lineEndRules
 	cutSpacing int
@@ -77,18 +76,27 @@ func (r sadpRules) CheckTrack(layer, track int, strips []Seg, netName func(int) 
 	}
 }
 
-// AnalyzeMask runs the cut mask analysis: every line-end inside the grid
-// needs a cut, aligned cuts merge, and residual close cut pairs count as
-// conflicts. Cut conflicts are a mask complexity metric, not a legality
-// error, so Errors stays empty.
+// AnalyzeMask runs AnalyzeCuts under the technology's extension, merge
+// tolerance, and cut spacing.
 func (r sadpRules) AnalyzeMask(segs []Seg, w, h int) *MaskReport {
-	cuts := ExtractCuts(segs, w, h, r.ext)
-	shapes := MergeCuts(cuts, r.mergeTol)
+	return AnalyzeCuts(segs, w, h, r.ext, r.mergeTol, r.cutSpacing)
+}
+
+// AnalyzeCuts is the SADP cut mask analysis: every raw strip end inside
+// the grid (after extension by ext) needs a cut, cuts on consecutive
+// tracks within mergeTol of each other merge into one shape, and residual
+// shape pairs closer than cutSpacing count as conflicts. Cut conflicts
+// are a mask complexity metric, not a legality error, so Errors stays
+// empty. w and h are the grid extents.
+func AnalyzeCuts(segs []Seg, w, h, ext, mergeTol, cutSpacing int) *MaskReport {
+	cuts := extractCuts(segs, w, h, ext)
+	shapes := mergeCuts(cuts, mergeTol)
 	return &MaskReport{
 		Engine:    EngineSADP,
 		Colors:    1,
 		Segments:  len(segs),
-		Conflicts: CountCutConflicts(shapes, r.cutSpacing),
+		LineEnds:  len(cuts),
+		Conflicts: countCutConflicts(shapes, cutSpacing),
 		Shapes:    len(shapes),
 		CutShapes: shapes,
 	}
@@ -117,10 +125,10 @@ type CutShape struct {
 	Cuts int
 }
 
-// ExtractCuts emits a cut at each raw strip end whose extended end stays
+// extractCuts emits a cut at each raw strip end whose extended end stays
 // inside the grid (ends flush with the boundary need no cut), sorted by
 // (layer, pos, track, net).
-func ExtractCuts(segs []Seg, w, h, ext int) []Cut {
+func extractCuts(segs []Seg, w, h, ext int) []Cut {
 	var cuts []Cut
 	for _, s := range segs {
 		limit := w
@@ -150,10 +158,10 @@ func ExtractCuts(segs []Seg, w, h, ext int) []Cut {
 	return cuts
 }
 
-// MergeCuts greedily merges cuts on consecutive tracks whose positions
+// mergeCuts greedily merges cuts on consecutive tracks whose positions
 // match within mergeTol into single shapes. Cuts must arrive in
-// ExtractCuts order.
-func MergeCuts(cuts []Cut, mergeTol int) []CutShape {
+// extractCuts order.
+func mergeCuts(cuts []Cut, mergeTol int) []CutShape {
 	var shapes []CutShape
 	i := 0
 	for i < len(cuts) {
@@ -194,9 +202,9 @@ func MergeCuts(cuts []Cut, mergeTol int) []CutShape {
 	return shapes
 }
 
-// CountCutConflicts counts shape pairs on overlapping or adjacent track
+// countCutConflicts counts shape pairs on overlapping or adjacent track
 // ranges whose positions are closer than cutSpacing.
-func CountCutConflicts(shapes []CutShape, cutSpacing int) int {
+func countCutConflicts(shapes []CutShape, cutSpacing int) int {
 	conflicts := 0
 	for a := 0; a < len(shapes); a++ {
 		for b := a + 1; b < len(shapes); b++ {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Label is one constant instrument label.
@@ -253,12 +254,12 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// getOrCreate returns the instrument for (name, labels), creating the
-// family and instrument as needed. Registering one name with two
-// different kinds is a programming error and panics.
-func (r *Registry) getOrCreate(name, help string, kind metricKind, labels []Label) *instrument {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// instrumentLocked returns the instrument for (name, labels), creating
+// the family and instrument as needed. r.mu must be held: callers build
+// and read the instrument's value under the same critical section, so
+// concurrent first registration yields one instrument. Registering one
+// name with two different kinds is a programming error and panics.
+func (r *Registry) instrumentLocked(name, help string, kind metricKind, labels []Label) *instrument {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, instruments: make(map[string]*instrument)}
@@ -283,7 +284,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	inst := r.getOrCreate(name, help, kindCounter, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.instrumentLocked(name, help, kindCounter, labels)
 	if inst.ctr == nil && inst.fn == nil {
 		inst.ctr = &Counter{}
 	}
@@ -295,7 +298,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	inst := r.getOrCreate(name, help, kindGauge, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.instrumentLocked(name, help, kindGauge, labels)
 	if inst.gauge == nil && inst.fn == nil {
 		inst.gauge = &Gauge{}
 	}
@@ -308,13 +313,22 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
-	inst := r.getOrCreate(name, help, kindHistogram, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.instrumentLocked(name, help, kindHistogram, labels)
 	if inst.hist == nil {
 		bs := append([]float64(nil), bounds...)
 		sort.Float64s(bs)
 		inst.hist = &Histogram{bounds: bs, counts: make([]uint64, len(bs)+1)}
 	}
 	return inst.hist
+}
+
+// ObserveStage records one pipeline stage's wall-clock duration on the
+// cpr_stage_seconds histogram, labelled by stage. No-op on nil registry.
+func (r *Registry) ObserveStage(stage string, d time.Duration) {
+	r.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
+		DefSecondsBuckets, L("stage", stage)).Observe(d.Seconds())
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -324,7 +338,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	if r == nil {
 		return
 	}
-	inst := r.getOrCreate(name, help, kindCounter, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.instrumentLocked(name, help, kindCounter, labels)
 	inst.fn = fn
 	inst.ctr = nil
 }
@@ -335,7 +351,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	inst := r.getOrCreate(name, help, kindGauge, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.instrumentLocked(name, help, kindGauge, labels)
 	inst.fn = fn
 	inst.gauge = nil
 }
@@ -375,24 +393,39 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// Snapshot every family's series under the lock (registration may
+	// add instruments concurrently); render outside it.
+	type series struct {
+		key  string
+		inst instrument
+	}
+	type famSeries struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
 	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
+	fams := make([]famSeries, 0, len(names))
 	for _, n := range names {
-		fams = append(fams, r.families[n])
+		f := r.families[n]
+		keys := append([]string(nil), f.order...)
+		sort.Strings(keys)
+		fs := famSeries{f: f, series: make([]series, len(keys))}
+		for i, key := range keys {
+			fs.series[i] = series{key: key, inst: *f.instruments[key]}
+		}
+		fams = append(fams, fs)
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for _, fs := range fams {
+		f := fs.f
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		keys := append([]string(nil), f.order...)
-		sort.Strings(keys)
-		for _, key := range keys {
-			inst := f.instruments[key]
-			if err := writeInstrument(w, f, key, inst); err != nil {
+		for _, s := range fs.series {
+			if err := writeInstrument(w, f, s.key, &s.inst); err != nil {
 				return err
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -313,5 +314,49 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := len(tr.FindAll("panel")); got != 1600 {
 		t.Errorf("spans = %d, want 1600", got)
+	}
+}
+
+// TestConcurrentFirstRegistration: panel workers register the same
+// instruments concurrently on first use while a scrape runs. Every caller
+// must get the one instrument and no observation may be lost; under
+// -race this also proves instruments are built and exported under the
+// registry lock.
+func TestConcurrentFirstRegistration(t *testing.T) {
+	const workers = 8
+	for round := 0; round < 50; round++ {
+		reg := NewRegistry()
+		ctrs := make([]*Counter, workers)
+		gauges := make([]*Gauge, workers)
+		hists := make([]*Histogram, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				ctrs[i] = reg.Counter("c_total", "c", L("stage", "s"))
+				ctrs[i].Inc()
+				gauges[i] = reg.Gauge("g", "g")
+				gauges[i].Add(1)
+				hists[i] = reg.Histogram("h_seconds", "h", DefSecondsBuckets, L("stage", "s"))
+				hists[i].Observe(0.1)
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i := 1; i < workers; i++ {
+			if ctrs[i] != ctrs[0] || gauges[i] != gauges[0] || hists[i] != hists[0] {
+				t.Fatalf("round %d: worker %d got a second instrument for one series", round, i)
+			}
+		}
+		if ctrs[0].Value() != workers || gauges[0].Value() != workers || hists[0].Count() != workers {
+			t.Fatalf("round %d: lost observations: counter %g gauge %g histogram %d, want %d each",
+				round, ctrs[0].Value(), gauges[0].Value(), hists[0].Count(), workers)
+		}
 	}
 }
