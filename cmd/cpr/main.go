@@ -153,9 +153,10 @@ func main() {
 		fmt.Printf("congestion unrouted:     %d\n", res.Router.CongestionUnrouted)
 		fmt.Printf("DRC unrouted:            %d\n", res.Router.DRCUnrouted)
 		if res.PinOpt != nil {
+			elapsed := time.Duration(res.Metrics.OptimizeSeconds * float64(time.Second))
 			fmt.Printf("pin opt: %d pins, %d intervals, %d conflict sets, objective %.1f in %v\n",
 				res.PinOpt.TotalPins, res.PinOpt.TotalIntervals,
-				res.PinOpt.TotalConflicts, res.PinOpt.Objective, res.PinOpt.Elapsed)
+				res.PinOpt.TotalConflicts, res.PinOpt.Objective, elapsed)
 		}
 	}
 }

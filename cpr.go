@@ -156,8 +156,9 @@ func CircuitByName(name string) (Spec, error) { return synth.SpecByName(name) }
 //
 // Pin access optimization is track-sharded and runs on opts.Workers
 // goroutines (0 = GOMAXPROCS, 1 = fully sequential). The result is
-// byte-identical for every worker count; only wall-clock fields such as
-// Metrics.CPUSeconds vary between runs.
+// byte-identical for every worker count; only the Metrics seconds fields
+// (CPUSeconds, OptimizeSeconds, RouteSeconds, VerifySeconds) vary
+// between runs.
 func Run(d *Design, opts Options) (*RunResult, error) { return core.Run(d, opts) }
 
 // RunContext is Run with cancellation: ctx is polled between panel

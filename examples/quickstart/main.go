@@ -34,7 +34,7 @@ func main() {
 
 	fmt.Printf("pin access optimization: %d pins -> %d candidate intervals, %d conflict sets (%.1fms)\n",
 		res.PinOpt.TotalPins, res.PinOpt.TotalIntervals, res.PinOpt.TotalConflicts,
-		float64(res.PinOpt.Elapsed.Microseconds())/1000)
+		res.Metrics.OptimizeSeconds*1000)
 
 	m := res.Metrics
 	fmt.Printf("routing: %.2f%% routability, %d vias, %d wirelength, %.2fs\n",

@@ -3,12 +3,10 @@
 // (PR 2) assumes an optimization result is a pure function of the
 // design and the options fingerprint; a call to the wall clock, the
 // process environment, a random source, or the GOMAXPROCS value inside
-// pinaccess, conflict, assign, lagrange, router, or core could break
-// that silently. Driver-layer packages (cmd/..., internal/jobs) may use
-// them freely.
-//
-// Wall-clock reads that feed only elapsed-time metrics are legitimate;
-// such sites carry //cprlint:nondeterm comments with the justification.
+// pinaccess, conflict, assign, lagrange, router, core, or pipeline could
+// break that silently. Driver-layer packages (cmd/..., internal/jobs) may
+// use them freely. Stage timing belongs in telemetry spans; any other
+// clock site needs a //cprlint:nondeterm justification.
 package nondeterm
 
 import (
@@ -21,7 +19,7 @@ import (
 // Analyzer is the nondeterm pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nondeterm",
-	Doc:  "forbids time.Now, math/rand, os.Getenv, and GOMAXPROCS-dependent calls in result-producing packages (pinaccess, conflict, assign, lagrange, router, core)",
+	Doc:  "forbids time.Now, math/rand, os.Getenv, and GOMAXPROCS-dependent calls in result-producing packages (pinaccess, conflict, assign, lagrange, router, core, pipeline)",
 	Run:  run,
 }
 
@@ -34,6 +32,7 @@ var restricted = []string{
 	"/internal/lagrange",
 	"/internal/router",
 	"/internal/core",
+	"/internal/pipeline",
 }
 
 // allowed are driver-layer packages where wall clocks and environment

@@ -10,6 +10,7 @@ import (
 func TestNondeterm(t *testing.T) {
 	analysistest.Run(t, "testdata", nondeterm.Analyzer,
 		"cpr/internal/lagrange",
+		"cpr/internal/pipeline",
 		"cpr/internal/jobs",
 		"cpr/cmd/tool",
 		"other",

@@ -107,11 +107,13 @@ func TraceFormat() *string {
 		"trace encoding: chrome (trace_event JSON for chrome://tracing / Perfetto) or json (raw span records)")
 }
 
-// StartTrace attaches a fresh tracer to ctx when path is non-empty and
-// returns a flush function that writes the collected trace to path in
-// the given format ("chrome" or "json"; "" means chrome). With an empty
-// path ctx passes through and the flush is a no-op.
+// StartTrace attaches a fresh tracer to ctx, whose spans also give the
+// tool its stage times, and returns a flush function that writes the
+// collected trace to path in the given format ("chrome" or "json"; ""
+// means chrome). With an empty path the flush is a no-op.
 func StartTrace(ctx context.Context, path, format string) (context.Context, func() error, error) {
+	tr := telemetry.New()
+	ctx = telemetry.WithTracer(ctx, tr)
 	if path == "" {
 		return ctx, func() error { return nil }, nil
 	}
@@ -120,8 +122,6 @@ func StartTrace(ctx context.Context, path, format string) (context.Context, func
 	default:
 		return ctx, nil, fmt.Errorf("unknown -trace-format %q (want chrome, json)", format)
 	}
-	tr := telemetry.New()
-	ctx = telemetry.WithTracer(ctx, tr)
 	flush := func() error {
 		f, err := os.Create(path)
 		if err != nil {

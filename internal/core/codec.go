@@ -21,8 +21,9 @@ import (
 
 // resultVersion is the design-level block format version. Bump whenever
 // RunResult or any serialized component changes shape; mismatches decode
-// as errors and degrade to recomputes.
-const resultVersion = 1
+// as errors and degrade to recomputes. Version 2 dropped
+// PinOptReport.Elapsed.
+const resultVersion = 2
 
 // resultEnvelope is the wire shape of one design-level block.
 type resultEnvelope struct {

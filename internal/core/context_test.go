@@ -79,7 +79,7 @@ func TestRunContextNeverCanceledMatchesRun(t *testing.T) {
 	if base.PinOpt == nil || got.PinOpt == nil {
 		t.Fatalf("missing pin opt reports: %v %v", base.PinOpt, got.PinOpt)
 	}
-	brep, grep := reportFingerprint(base.PinOpt), reportFingerprint(got.PinOpt)
+	brep, grep := *base.PinOpt, *got.PinOpt
 	if !reflect.DeepEqual(brep, grep) {
 		t.Errorf("pin opt reports diverged:\n Run        %+v\n RunContext %+v", brep, grep)
 	}

@@ -22,7 +22,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cpr/internal/assign"
 	"cpr/internal/design"
@@ -166,18 +165,11 @@ type Options struct {
 	// panel. 0 selects runtime.GOMAXPROCS(0); 1 forces the fully
 	// sequential path. The determinism contract of internal/parallel
 	// guarantees byte-identical results — metrics, selected intervals,
-	// and routes — for every value (only wall-clock fields such as
-	// Metrics.CPUSeconds and PinOptReport.Elapsed vary).
+	// and routes — for every value (only the Metrics seconds fields,
+	// CPUSeconds, OptimizeSeconds, RouteSeconds and VerifySeconds, vary).
 	//
 	//keypurity:exempt pipeline parallelism; the internal/parallel determinism contract makes results byte-identical for every worker count
 	Workers int
-	// Parallelism is the number of panels optimized concurrently.
-	//
-	// Deprecated: set Workers instead. Parallelism is honoured only when
-	// Workers is zero.
-	//
-	//keypurity:exempt deprecated alias of Workers; same determinism contract
-	Parallelism int
 	// PanelCache, when non-nil, is consulted for per-panel artifacts
 	// before each panel is solved and updated with recomputed ones.
 	// Content addressing makes it invisible in results (it never affects
@@ -214,13 +206,7 @@ type Options struct {
 
 // workers resolves the effective worker count for a run.
 func (o Options) workers() int {
-	if o.Workers != 0 {
-		return parallel.Resolve(o.Workers)
-	}
-	if o.Parallelism != 0 {
-		return parallel.Resolve(o.Parallelism)
-	}
-	return parallel.Resolve(0)
+	return parallel.Resolve(o.Workers)
 }
 
 // solverConfig maps the pin-opt-affecting options onto the pipeline's
@@ -282,12 +268,11 @@ type PinOptReport struct {
 	TotalIntervals int
 	TotalConflicts int
 	Objective      float64
-	Elapsed        time.Duration
 }
 
 // IncrementalStats reports how much of a run was spliced from reuse. It
 // is provenance, not result: two runs that differ only in these fields
-// (and wall-clock ones) are byte-identical in every output.
+// (and the Metrics seconds fields) are byte-identical in every output.
 type IncrementalStats struct {
 	// Panels is the number of non-empty panels in the run.
 	Panels int
@@ -386,9 +371,10 @@ func RerunContext(ctx context.Context, prev *RunResult, edited *design.Design, o
 
 // runFlow executes the selected flow, optionally splicing per-panel and
 // per-region artifacts from a previous run (reuse, keyed by content).
-// A telemetry tracer/registry in ctx records the run/pinopt/route span
-// tree and stage metrics; telemetry is strictly observational (§4e), so
-// results are byte-identical with it on or off.
+// It always records the run/pinopt/route span tree, on a private tracer
+// when ctx carries none, because the Metrics seconds are read off it; a
+// registry in ctx gets the stage metrics. Telemetry is observational
+// (§4e): all other output is byte-identical whatever ctx carries.
 func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInputs) (*RunResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -401,6 +387,9 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	reg := telemetry.RegistryFrom(ctx)
+	if telemetry.TracerFrom(ctx) == nil {
+		ctx = telemetry.WithTracer(ctx, telemetry.New())
+	}
 	ctx, runSpan := telemetry.StartSpan(ctx, "run")
 	defer runSpan.End()
 	runSpan.SetAttr("mode", opts.Mode.String())
@@ -434,9 +423,9 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 		}
 		res.Router = routeIncremental(ctx, d, g, opts, r, seeds, reuse, res)
 	case ModeNoPinOpt:
-		res.Router = runRouter(ctx, r, res)
+		res.Router = runRouter(ctx, r.RunCtx)
 	case ModeSequential:
-		res.Router = r.RunSequential(opts.Sequential)
+		res.Router = runRouter(ctx, func(context.Context) *router.Result { return r.RunSequential(opts.Sequential) })
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)
 	}
@@ -445,10 +434,8 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 	}
 
 	res.Metrics = metrics.FromResult(d, res.Router)
-	if res.PinOpt != nil {
-		res.Metrics.CPUSeconds += res.PinOpt.Elapsed.Seconds()
-		res.Metrics.OptimizeSeconds = res.PinOpt.Elapsed.Seconds()
-	}
+	// Spliced regions open no route:* spans, so reuse adds no time.
+	res.Metrics.SetStageSeconds(runSpan.SubtreeDurations())
 	runSpan.SetAttr("routed_nets", res.Router.RoutedNets)
 	return res, nil
 }
@@ -482,19 +469,15 @@ func applyRuleEngine(d *design.Design, opts Options) (*design.Design, error) {
 	return &clone, nil
 }
 
-// runRouter wraps the negotiation router in a "route" span and records
-// its stage durations (reusing the router's own suppressed wall-clock
-// measurements — no new clock reads in this determinism-restricted
-// package).
-func runRouter(ctx context.Context, r *router.Router, res *RunResult) *router.Result {
-	rctx, span := telemetry.StartSpan(ctx, "route")
-	rres := r.RunCtx(rctx)
+// runRouter runs a baseline mode's router inside the "route" stage span.
+func runRouter(ctx context.Context, route func(context.Context) *router.Result) *router.Result {
+	rctx, span := telemetry.StartStage(ctx, "route")
+	rres := route(rctx)
 	span.SetAttr("routed_nets", rres.RoutedNets)
 	span.SetAttr("vias", rres.Vias)
 	span.SetAttr("wirelength", rres.Wirelength)
 	span.SetAttr("negotiation_iters", rres.NegotiationIters)
 	span.End()
-	telemetry.RegistryFrom(ctx).ObserveStage("route", rres.Elapsed)
 	return rres
 }
 
@@ -532,7 +515,6 @@ func OptimizePinAccessContext(ctx context.Context, d *design.Design, opts Option
 // keeps report and seed order byte-identical for every worker count and
 // any mix of reused and recomputed panels.
 func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArts map[string]*pipeline.PanelArtifact) (*PinOptReport, []PanelSeed, *pipeline.ArtifactSet, *IncrementalStats, error) {
-	start := time.Now() //cprlint:nondeterm wall-clock Elapsed metric only; never reaches the routing result
 	idx := d.BuildTrackIndex()
 	cfg := solverConfig(opts)
 	cacheable := cfg.Cacheable()
@@ -551,7 +533,7 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 	outer, inner := panelWorkerSplit(opts.workers(), len(panels))
 
 	reg := telemetry.RegistryFrom(ctx)
-	ctx, poSpan := telemetry.StartSpan(ctx, "pinopt")
+	ctx, poSpan := telemetry.StartStage(ctx, "pinopt")
 	poSpan.SetAttr("panels", len(panels))
 	poSpan.SetAttr("outer_workers", outer)
 	poSpan.SetAttr("inner_workers", inner)
@@ -670,7 +652,6 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 			}
 		}
 	}
-	report.Elapsed = time.Since(start) //cprlint:nondeterm wall-clock Elapsed metric only; never reaches the routing result
 	poSpan.SetAttr("total_pins", report.TotalPins)
 	poSpan.SetAttr("total_intervals", report.TotalIntervals)
 	poSpan.SetAttr("total_conflicts", report.TotalConflicts)
@@ -679,6 +660,5 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 		poSpan.SetAttr("reused", inc.Reused)
 	}
 	poSpan.End()
-	reg.ObserveStage("pinopt", report.Elapsed)
 	return report, seeds, arts, inc, nil
 }

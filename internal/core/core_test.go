@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"cpr/internal/design"
 	"cpr/internal/synth"
+	"cpr/internal/telemetry"
 )
 
 func miniCircuit(t testing.TB) *design.Design {
@@ -146,8 +149,45 @@ func TestCPUIncludesPinOptTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.CPUSeconds < res.Router.Elapsed.Seconds() {
-		t.Error("CPU time must include pin optimization time")
+	if m := res.Metrics; m.OptimizeSeconds <= 0 || m.CPUSeconds <= m.OptimizeSeconds {
+		t.Errorf("CPU time %gs must include pin optimization time %gs and routing time",
+			m.CPUSeconds, m.OptimizeSeconds)
+	}
+}
+
+// TestStageSecondsFromSpans pins how the Table 2 seconds columns are
+// derived: under a caller-supplied tracer, each equals the named span
+// sums of the run.
+func TestStageSecondsFromSpans(t *testing.T) {
+	d := miniCircuit(t)
+	tr := telemetry.New()
+	res, err := RunContext(telemetry.WithTracer(context.Background(), tr), d, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(names ...string) time.Duration {
+		var total time.Duration
+		for _, name := range names {
+			for _, sp := range tr.FindAll(name) {
+				total += sp.End() // idempotent: the duration recorded at its first End
+			}
+		}
+		return total
+	}
+	m := res.Metrics
+	for _, c := range []struct {
+		field string
+		got   float64
+		want  time.Duration
+	}{
+		{"OptimizeSeconds", m.OptimizeSeconds, sum("pinopt")},
+		{"RouteSeconds", m.RouteSeconds, sum("route:independent", "route:negotiate", "route:resolve")},
+		{"VerifySeconds", m.VerifySeconds, sum("route:drc")},
+		{"CPUSeconds", m.CPUSeconds, sum("pinopt", "route")},
+	} {
+		if c.want <= 0 || c.got != c.want.Seconds() {
+			t.Errorf("%s = %g, want the span sum %g", c.field, c.got, c.want.Seconds())
+		}
 	}
 }
 
@@ -205,7 +245,7 @@ func TestParallelPinOptMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parSeeds, err := OptimizePinAccess(d, Options{Parallelism: 4})
+	par, parSeeds, err := OptimizePinAccess(d, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	}
 	runOpts.Spliced, runOpts.Warm = spliced, warm
 
-	rctx, span := telemetry.StartSpan(ctx, "route")
+	rctx, span := telemetry.StartStage(ctx, "route")
 	span.SetAttr("regions", len(plan.Regions))
 	span.SetAttr("regions_spliced", len(spliced))
 	rres := r.RunPlan(rctx, plan, runOpts)
@@ -129,7 +129,6 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	span.End()
 
 	reg := telemetry.RegistryFrom(ctx)
-	reg.ObserveStage("route", rres.Elapsed)
 	const netsHelp = "Nets finalized per routing run, by provenance."
 	reg.Counter("cpr_router_nets_total", netsHelp, telemetry.L("source", "spliced")).
 		Add(float64(rres.SplicedNets))

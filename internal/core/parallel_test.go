@@ -22,7 +22,7 @@ var determinismSpecs = []synth.Spec{
 
 var determinismWorkers = []int{1, 2, 8}
 
-func mustGenerate(t *testing.T, spec synth.Spec) *design.Design {
+func mustGenerate(t testing.TB, spec synth.Spec) *design.Design {
 	t.Helper()
 	d, err := synth.Generate(spec)
 	if err != nil {
@@ -51,14 +51,6 @@ func seedFingerprint(seeds []PanelSeed) string {
 	return b.String()
 }
 
-// reportFingerprint canonicalizes a PinOptReport, dropping the wall-clock
-// Elapsed field which legitimately varies run to run.
-func reportFingerprint(rep *PinOptReport) PinOptReport {
-	canon := *rep
-	canon.Elapsed = 0
-	return canon
-}
-
 // TestOptimizePinAccessDeterministicAcrossWorkers is the core determinism
 // guarantee: pin access optimization must produce byte-identical reports
 // and selected-interval sets for every worker count.
@@ -73,15 +65,14 @@ func TestOptimizePinAccessDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				canon := reportFingerprint(rep)
 				fp := seedFingerprint(seeds)
 				if wi == 0 {
-					baseRep, baseFP = canon, fp
+					baseRep, baseFP = *rep, fp
 					continue
 				}
-				if !reflect.DeepEqual(canon, baseRep) {
+				if !reflect.DeepEqual(*rep, baseRep) {
 					t.Errorf("workers=%d: report differs from workers=%d:\n got %+v\nwant %+v",
-						workers, determinismWorkers[0], canon, baseRep)
+						workers, determinismWorkers[0], *rep, baseRep)
 				}
 				if fp != baseFP {
 					t.Errorf("workers=%d: selected-interval set differs from workers=%d",
@@ -94,7 +85,7 @@ func TestOptimizePinAccessDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers runs the full CPR flow (optimization
 // plus routing) and asserts the final Metrics are identical for every
-// worker count once the wall-clock CPUSeconds field is zeroed.
+// worker count once the wall-clock Metrics seconds fields are zeroed.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow determinism sweep skipped in short mode")
@@ -117,7 +108,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 				m := res.Metrics.ZeroTimes()
 				cur := canonMetrics{m: m, routed: res.Metrics.RoutedNets}
 				if res.PinOpt != nil {
-					cur.pinOpt = reportFingerprint(res.PinOpt)
+					cur.pinOpt = *res.PinOpt
 					cur.hasSeed = true
 				}
 				if wi == 0 {

@@ -18,8 +18,8 @@ import (
 
 // dumpRunResult serializes everything observable about a run — the
 // design bytes, the pin-opt report, every route, and the metrics — with
-// the wall-clock fields (Elapsed, CPUSeconds) and the provenance-only
-// Incremental field excluded. Byte equality of dumps is the incremental
+// the Metrics seconds fields and the provenance-only Incremental field
+// excluded. Byte equality of dumps is the incremental
 // invariant: Rerun must be indistinguishable from a cold run.
 func dumpRunResult(t *testing.T, d *design.Design, res *RunResult) []byte {
 	t.Helper()
@@ -28,7 +28,7 @@ func dumpRunResult(t *testing.T, d *design.Design, res *RunResult) []byte {
 		t.Fatal(err)
 	}
 	if res.PinOpt != nil {
-		fmt.Fprintf(&b, "pinopt %+v\n", reportFingerprint(res.PinOpt))
+		fmt.Fprintf(&b, "pinopt %+v\n", *res.PinOpt)
 	}
 	r := res.Router
 	fmt.Fprintf(&b, "routed=%d vias=%d wl=%d initcong=%d iters=%d congunrouted=%d drcunrouted=%d\n",

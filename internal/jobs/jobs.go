@@ -865,7 +865,7 @@ func (m *Manager) finish(job *Job, queueWait, runTime time.Duration, res *core.R
 		m.mRunTime.Observe(runTime.Seconds())
 	}
 	if res != nil && res.PinOpt != nil {
-		m.stageLocked("pinopt").add(res.PinOpt.Elapsed)
+		m.stageLocked("pinopt").add(time.Duration(res.Metrics.OptimizeSeconds * float64(time.Second)))
 	}
 	m.retainLocked(job.ID)
 	m.mu.Unlock()

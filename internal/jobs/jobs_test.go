@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"cpr/internal/blockstore"
 	"cpr/internal/core"
 	"cpr/internal/design"
+	"cpr/internal/exchange"
 	"cpr/internal/lagrange"
 	"cpr/internal/pipeline"
 	"cpr/internal/synth"
@@ -362,9 +365,6 @@ func TestFingerprintNormalization(t *testing.T) {
 	if Fingerprint(core.Options{Workers: 1}) != Fingerprint(core.Options{Workers: 8}) {
 		t.Error("worker count must not change the fingerprint (results are identical)")
 	}
-	if Fingerprint(core.Options{Parallelism: 3}) != Fingerprint(core.Options{}) {
-		t.Error("deprecated Parallelism must not change the fingerprint")
-	}
 	if Fingerprint(core.Options{Mode: core.ModeCPR}) == Fingerprint(core.Options{Mode: core.ModeSequential}) {
 		t.Error("mode must change the fingerprint")
 	}
@@ -492,5 +492,55 @@ func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
 	}
 	if c.Panel.Len() != 2 {
 		t.Errorf("panel cache holds %d entries, want 2 (keyless artifact skipped)", c.Panel.Len())
+	}
+}
+
+// TestDesignBlockVersionSkewRecomputes is the fail-closed contract of the
+// design-level block codec: a block in the previous format (version 1,
+// whose pin-access report still carried a wall-clock Elapsed field) is
+// refused, so the job recomputes instead of being served from the
+// block, and the recomputed result replaces the stale block.
+func TestDesignBlockVersionSkewRecomputes(t *testing.T) {
+	d := testDesign(t)
+	run := func(store blockstore.Store) Snapshot {
+		t.Helper()
+		mgr := New(Config{MaxConcurrent: 1}, NewExchangedResultCache(8, 64, 64, exchange.New(store, nil, nil)))
+		job, err := mgr.Submit(d, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		snap := job.Snapshot()
+		if snap.State != StateDone {
+			t.Fatalf("job state %v (%s), want done", snap.State, snap.Err)
+		}
+		return snap
+	}
+
+	fresh := blockstore.NewMem(0)
+	key := run(fresh).Key
+	v2, err := fresh.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(v2, []byte(`{"v":2,`), []byte(`{"v":1,`), 1)
+	v1 = bytes.Replace(v1, []byte(`"TotalConflicts":`), []byte(`"Elapsed":1500000,"TotalConflicts":`), 1)
+	if bytes.Equal(v1, v2) {
+		t.Fatal("could not derive a version-1 block from the current encoding")
+	}
+
+	skewed := blockstore.NewMem(0)
+	if err := skewed.Put(key, v1); err != nil {
+		t.Fatal(err)
+	}
+	if snap := run(skewed); snap.Cached {
+		t.Fatal("a version-1 design block was served instead of recomputing")
+	}
+	stored, err := skewed.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.DecodeResult(stored); err != nil {
+		t.Errorf("the recomputed result did not replace the stale block: %v", err)
 	}
 }

@@ -1,11 +1,15 @@
 // Package metrics computes the evaluation metrics of the paper's §5 from
 // routing results: routability ("Rout."), via count ("Via#"), wirelength
 // ("WL" — grid wirelength of routed nets plus half-perimeter wirelength of
-// unrouted nets), runtime, and initial congested grid counts.
+// unrouted nets), runtime, and initial congested grid counts. The runtime
+// columns come from the run's spans (internal/core): opt(s) = pinopt,
+// rt(s) = route:independent+negotiate+resolve and vrfy(s) = route:drc,
+// both summed over regions, and cpu(s) = pinopt + route.
 package metrics
 
 import (
 	"fmt"
+	"time"
 
 	"cpr/internal/design"
 	"cpr/internal/grid"
@@ -41,7 +45,9 @@ type Routing struct {
 	NegotiationIters int
 }
 
-// FromResult assembles metrics from a router result.
+// FromResult assembles metrics from a router result. It leaves the
+// seconds fields zero: internal/core fills them from the run's spans
+// with SetStageSeconds.
 func FromResult(d *design.Design, res *router.Result) Routing {
 	m := Routing{
 		Circuit:          d.Name,
@@ -49,9 +55,6 @@ func FromResult(d *design.Design, res *router.Result) Routing {
 		RoutedNets:       res.RoutedNets,
 		Vias:             res.Vias,
 		WL:               res.Wirelength,
-		CPUSeconds:       res.Elapsed.Seconds(),
-		RouteSeconds:     (res.StageElapsed[0] + res.StageElapsed[1] + res.StageElapsed[2]).Seconds(),
-		VerifySeconds:    res.StageElapsed[3].Seconds(),
 		InitialCongested: res.InitialCongested,
 		NegotiationIters: res.NegotiationIters,
 	}
@@ -64,6 +67,18 @@ func FromResult(d *design.Design, res *router.Result) Routing {
 		}
 	}
 	return m
+}
+
+// SetStageSeconds fills the seconds fields from per-name span duration
+// sums (telemetry.Span.SubtreeDurations of a run): OptimizeSeconds =
+// pinopt, RouteSeconds = route:independent + route:negotiate +
+// route:resolve, VerifySeconds = route:drc and CPUSeconds = pinopt +
+// route. A name with no span contributes zero.
+func (m *Routing) SetStageSeconds(d map[string]time.Duration) {
+	m.OptimizeSeconds = d["pinopt"].Seconds()
+	m.RouteSeconds = (d["route:independent"] + d["route:negotiate"] + d["route:resolve"]).Seconds()
+	m.VerifySeconds = d["route:drc"].Seconds()
+	m.CPUSeconds = (d["pinopt"] + d["route"]).Seconds()
 }
 
 // ZeroTimes returns a copy with every wall-clock field zeroed — the

@@ -70,21 +70,28 @@ func TestRowAndHeaderAlign(t *testing.T) {
 
 func TestPhaseSplitFromStageElapsed(t *testing.T) {
 	d, _, res := routedDesign(t)
-	res.StageElapsed = [4]time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond,
-		300 * time.Millisecond, 400 * time.Millisecond,
-	}
 	m := FromResult(d, res)
+	m.SetStageSeconds(map[string]time.Duration{
+		"pinopt":            50 * time.Millisecond,
+		"route":             1500 * time.Millisecond,
+		"route:independent": 100 * time.Millisecond,
+		"route:negotiate":   200 * time.Millisecond,
+		"route:resolve":     300 * time.Millisecond,
+		"route:drc":         400 * time.Millisecond,
+	})
+	if m.OptimizeSeconds != 0.05 {
+		t.Errorf("OptimizeSeconds = %g, want 0.05", m.OptimizeSeconds)
+	}
 	if m.RouteSeconds != 0.6 {
 		t.Errorf("RouteSeconds = %g, want 0.6", m.RouteSeconds)
 	}
 	if m.VerifySeconds != 0.4 {
 		t.Errorf("VerifySeconds = %g, want 0.4", m.VerifySeconds)
 	}
-	// CPUSeconds keeps its historical meaning: total router wall clock,
-	// independent of the phase breakdown.
-	if m.CPUSeconds != res.Elapsed.Seconds() {
-		t.Errorf("CPUSeconds = %g, want %g", m.CPUSeconds, res.Elapsed.Seconds())
+	// CPUSeconds keeps its historical meaning: total wall clock of the
+	// pinopt and route stages, independent of the phase breakdown.
+	if m.CPUSeconds != 1.55 {
+		t.Errorf("CPUSeconds = %g, want 1.55", m.CPUSeconds)
 	}
 }
 
@@ -118,9 +125,13 @@ func TestAverage(t *testing.T) {
 
 func TestCPUSecondsFromElapsed(t *testing.T) {
 	d, _, res := routedDesign(t)
-	res.Elapsed = 1500 * time.Millisecond
 	m := FromResult(d, res)
-	if m.CPUSeconds != 1.5 {
-		t.Errorf("CPUSeconds = %g, want 1.5", m.CPUSeconds)
+	if m.CPUSeconds != 0 {
+		t.Errorf("FromResult CPUSeconds = %g, want 0 before SetStageSeconds", m.CPUSeconds)
+	}
+	// A baseline run has no pinopt span: CPU time is the route span alone.
+	m.SetStageSeconds(map[string]time.Duration{"route": 1500 * time.Millisecond})
+	if m.CPUSeconds != 1.5 || m.OptimizeSeconds != 0 {
+		t.Errorf("CPUSeconds/OptimizeSeconds = %g/%g, want 1.5/0", m.CPUSeconds, m.OptimizeSeconds)
 	}
 }

@@ -39,8 +39,8 @@ type RouteArtifact struct {
 	// Routes holds the member nets' routes, parallel to Nets.
 	Routes []*router.NetRoute
 	// Summary is the region's counter outcome, re-merged into rerun
-	// results when the region is spliced. It deliberately carries no
-	// wall-clock fields, so spliced work contributes zero elapsed time.
+	// results when the region is spliced. It carries no wall-clock: stage
+	// time lives in the computing run's spans, so splicing adds none.
 	Summary router.RegionSummary
 }
 

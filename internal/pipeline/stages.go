@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"cpr/internal/assign"
 	"cpr/internal/cache"
@@ -214,19 +213,13 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 
 // SolvePanel runs the three stages for one panel end to end and bundles
 // the result as a keyed PanelArtifact. When the context carries a
-// telemetry tracer/registry each stage gets a child span and a
-// cpr_stage_seconds observation; with neither present the overhead is a
-// few nil checks.
+// telemetry tracer each stage gets a child span, whose end also feeds
+// cpr_stage_seconds when a registry is present; without a tracer the
+// overhead is a few nil checks.
 //
 //keypurity:entry stage
 func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, panel int, pinIDs []int, cfg SolverConfig, workers int) (*PanelArtifact, error) {
-	reg := telemetry.RegistryFrom(ctx)
-	observe := func(stage string, start time.Time) {
-		reg.ObserveStage(stage, time.Since(start)) //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
-	}
-
-	_, genSpan := telemetry.StartSpan(ctx, "generate")
-	genStart := time.Now() //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
+	_, genSpan := telemetry.StartStage(ctx, "generate")
 	set, err := GenerateStage(d, idx, pinIDs, workers)
 	if err != nil {
 		genSpan.End()
@@ -235,23 +228,18 @@ func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, p
 	genSpan.SetAttr("pins", len(pinIDs))
 	genSpan.SetAttr("intervals", len(set.Set.Intervals))
 	genSpan.End()
-	observe("generate", genStart)
 
-	_, confSpan := telemetry.StartSpan(ctx, "conflicts")
-	confStart := time.Now() //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
+	_, confSpan := telemetry.StartStage(ctx, "conflicts")
 	model := ConflictStage(set, cfg, workers)
 	confSpan.SetAttr("conflict_sets", len(model.Model.Conflicts.Sets))
 	confSpan.End()
-	observe("conflicts", confStart)
 
-	assignCtx, assignSpan := telemetry.StartSpan(ctx, "assign")
-	assignStart := time.Now() //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
+	assignCtx, assignSpan := telemetry.StartStage(ctx, "assign")
 	sol, err := AssignStage(assignCtx, model, cfg, workers)
 	assignSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	observe("assign", assignStart)
 
 	return &PanelArtifact{
 		Panel:        panel,

@@ -80,7 +80,7 @@ func shuffledCopy(byPin map[int]int, seed int64) map[int]int {
 // dumpRun executes the full seeded negotiation flow and serializes
 // everything observable — the design bytes, every route's nodes, edges and
 // virtual cells, the run metrics, and the rendered SVG — into one buffer.
-// Wall-clock fields (Elapsed, StageElapsed) are deliberately excluded.
+// A router result carries no wall-clock, so nothing needs excluding.
 func dumpRun(t *testing.T, d *design.Design, set *pinaccess.Set, byPin map[int]int) []byte {
 	t.Helper()
 	g := grid.New(d)

@@ -376,11 +376,11 @@ func splicedRegionsFrom(plan *router.Plan, cold *router.Result, keep func(id int
 	return spliced
 }
 
-// TestSplicedRunContributesNoPriorTime is the Elapsed double-counting
+// TestSplicedRunContributesNoPriorTime is the stage-time double-counting
 // regression test: a run that splices every region computes nothing, so
-// its StageElapsed must be all-zero (the spliced regions' prior-run time
-// must not reappear), while its counter summaries match the cold run's.
-// ZeroTimes must clear every wall-clock field.
+// its counter summaries match the cold run's, and an all-spliced strict
+// core.Rerun reports zero routing and verification time (the spliced
+// regions' prior-run time must not reappear).
 func TestSplicedRunContributesNoPriorTime(t *testing.T) {
 	d := clusteredDesign(t, "times", 2, 12, 321, false)
 	g1 := grid.New(d)
@@ -388,13 +388,6 @@ func TestSplicedRunContributesNoPriorTime(t *testing.T) {
 	cold := r1.Run()
 	if cold.Regions < 2 {
 		t.Fatalf("expected >= 2 regions, got %d", cold.Regions)
-	}
-	var coldStage int64
-	for _, s := range cold.StageElapsed {
-		coldStage += int64(s)
-	}
-	if coldStage == 0 {
-		t.Fatal("cold run recorded no stage time; the regression assertion below would be vacuous")
 	}
 
 	g2 := grid.New(d)
@@ -405,11 +398,6 @@ func TestSplicedRunContributesNoPriorTime(t *testing.T) {
 
 	if res.SplicedNets != len(d.Nets) {
 		t.Fatalf("spliced %d nets, want all %d", res.SplicedNets, len(d.Nets))
-	}
-	for i, s := range res.StageElapsed {
-		if s != 0 {
-			t.Errorf("StageElapsed[%d] = %v on an all-spliced run, want 0 (prior-run time re-counted)", i, s)
-		}
 	}
 	if res.NegotiationIters != cold.NegotiationIters {
 		t.Errorf("spliced NegotiationIters = %d, want cold's %d", res.NegotiationIters, cold.NegotiationIters)
@@ -423,13 +411,23 @@ func TestSplicedRunContributesNoPriorTime(t *testing.T) {
 		}
 	}
 
-	res.ZeroTimes()
-	if res.Elapsed != 0 {
-		t.Errorf("ZeroTimes left Elapsed = %v", res.Elapsed)
+	prev, err := core.Run(d, core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range res.StageElapsed {
-		if s != 0 {
-			t.Errorf("ZeroTimes left StageElapsed[%d] = %v", i, s)
-		}
+	if prev.Metrics.RouteSeconds == 0 || prev.Metrics.VerifySeconds == 0 {
+		t.Fatalf("cold run recorded no stage time (route %g, verify %g); the assertion below would be vacuous",
+			prev.Metrics.RouteSeconds, prev.Metrics.VerifySeconds)
+	}
+	re, err := core.Rerun(prev, d, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Incremental == nil || re.Incremental.RegionsSpliced != re.Incremental.Regions {
+		t.Fatalf("rerun of an unchanged design spliced %+v, want every region", re.Incremental)
+	}
+	if re.Metrics.RouteSeconds != 0 || re.Metrics.VerifySeconds != 0 {
+		t.Errorf("all-spliced rerun reports route %gs, verify %gs, want 0 (prior-run time re-counted)",
+			re.Metrics.RouteSeconds, re.Metrics.VerifySeconds)
 	}
 }

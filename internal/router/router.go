@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"cpr/internal/assign"
 	"cpr/internal/design"
@@ -203,9 +202,9 @@ func (nr *NetRoute) Wirelength(g *grid.Graph) int {
 }
 
 // RegionSummary aggregates one region's counter outcomes. It carries no
-// wall-clock fields by design: a summary spliced from a previous run must
-// contribute zero time to the current run's Elapsed/StageElapsed (reruns
-// used to double-count spliced work's prior wall clock otherwise).
+// wall-clock fields: stage times live only in the route:* spans of the
+// run that computed the region, so a spliced summary contributes no time
+// to the run that reuses it.
 type RegionSummary struct {
 	// Nets is the region's member net count.
 	Nets int
@@ -255,23 +254,6 @@ type Result struct {
 	// cold run that has both at zero).
 	SplicedNets int
 	WarmNets    int
-
-	// Elapsed is the wall-clock routing time of this run only: spliced
-	// regions contribute zero (their prior-run time is not re-counted).
-	Elapsed time.Duration
-	// StageElapsed breaks routing work into the independent routing,
-	// rip-up negotiation, congestion resolution, and DRC stages, summed
-	// over the regions this run actually computed. With concurrent
-	// regions the sum is CPU-time-like and can exceed Elapsed.
-	StageElapsed [4]time.Duration
-}
-
-// ZeroTimes clears every wall-clock field, leaving only deterministic
-// content — the normal form for byte-identity comparisons and cached
-// artifacts.
-func (res *Result) ZeroTimes() {
-	res.Elapsed = 0
-	res.StageElapsed = [4]time.Duration{}
 }
 
 // Router routes one design on one grid. Create with New, optionally seed
@@ -370,7 +352,6 @@ type RunOpts struct {
 // shardOutcome is one computed region's result bundle.
 type shardOutcome struct {
 	summary RegionSummary
-	stage   [4]time.Duration
 	warm    int
 }
 
@@ -380,7 +361,6 @@ type shardOutcome struct {
 // byte-identical results for every worker count; a run with empty opts is
 // exactly the cold flow.
 func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result {
-	start := now()
 	res := &Result{
 		Routes:          make([]*NetRoute, len(r.d.Nets)),
 		Regions:         len(plan.Regions),
@@ -448,9 +428,6 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 	})
 	for slot, oc := range outcomes {
 		res.RegionSummaries[computed[slot].ID] = oc.summary
-		for i := range oc.stage {
-			res.StageElapsed[i] += oc.stage[i]
-		}
 		res.WarmNets += oc.warm
 	}
 
@@ -479,7 +456,6 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 		reg.Histogram("cpr_router_negotiation_rounds", "Rip-up-and-reroute rounds per routing run.",
 			telemetry.DefCountBuckets).Observe(float64(res.NegotiationIters))
 	}
-	res.Elapsed = since(start)
 	return res
 }
 
@@ -537,7 +513,6 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	// contract never sees this branch).
 	_, indSpan := telemetry.StartSpan(ctx, "route:independent")
 	indSpan.SetAttr("region", s.region.ID)
-	t0 := now()
 	initPres := 0.0
 	for _, netID := range order {
 		if w := s.warm[netID]; w != nil && s.warmUsable(w) {
@@ -564,8 +539,6 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	indSpan.SetAttr("warm", oc.warm)
 	indSpan.SetAttr("congested", oc.summary.InitialCongested)
 	indSpan.End()
-	oc.stage[0] = since(t0)
-	t0 = now()
 
 	// Stage 2: rip-up and reroute with ramping penalties. Negotiation
 	// stops early once the overuse count stalls: the surviving conflicts
@@ -638,8 +611,6 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	}
 	negSpan.SetAttr("rounds", oc.summary.NegotiationIters)
 	negSpan.End()
-	oc.stage[1] = since(t0)
-	t0 = now()
 
 	// Stage 3: resolve residual congestion by unrouting offenders.
 	_, resSpan := telemetry.StartSpan(ctx, "route:resolve")
@@ -647,8 +618,6 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	oc.summary.CongestionUnrouted = s.resolveCongestion()
 	resSpan.SetAttr("unrouted", oc.summary.CongestionUnrouted)
 	resSpan.End()
-	oc.stage[2] = since(t0)
-	t0 = now()
 
 	// Stage 4: line-end extension and design rule check.
 	_, drcSpan := telemetry.StartSpan(ctx, "route:drc")
@@ -658,7 +627,6 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	}
 	drcSpan.SetAttr("unrouted", oc.summary.DRCUnrouted)
 	drcSpan.End()
-	oc.stage[3] = since(t0)
 	return oc
 }
 

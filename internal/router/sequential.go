@@ -51,7 +51,6 @@ func (c SequentialConfig) withDefaults() SequentialConfig {
 // retried with wider windows. The output is design-rule-clean by
 // construction, mirroring the paper's description of [12].
 func (r *Router) RunSequential(cfg SequentialConfig) *Result {
-	start := now()
 	cfg = cfg.withDefaults()
 	res := &Result{Routes: make([]*NetRoute, len(r.d.Nets)), Regions: 1}
 	for i := range res.Routes {
@@ -254,7 +253,6 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 			res.Wirelength += nr.Wirelength(r.g)
 		}
 	}
-	res.Elapsed = since(start)
 	return res
 }
 

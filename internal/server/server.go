@@ -459,7 +459,7 @@ func jobToWire(s jobs.Snapshot) httpapi.Job {
 				Intervals: po.TotalIntervals,
 				Conflicts: po.TotalConflicts,
 				Objective: po.Objective,
-				ElapsedMS: float64(po.Elapsed) / float64(time.Millisecond),
+				ElapsedMS: s.Result.Metrics.OptimizeSeconds * 1000,
 			}
 		}
 		if inc := s.Result.Incremental; inc != nil {

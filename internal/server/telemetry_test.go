@@ -77,8 +77,13 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		// Pipeline metrics flow into the same registry via the job context.
 		`cpr_runs_total{mode="cpr"} 1`,
 		`cpr_panels_total{source="computed"}`,
+		// One observation per stage span: the run's pinopt and route
+		// stages, and the per-panel stages of smallSpec's three panels.
 		`cpr_stage_seconds_count{stage="pinopt"} 1`,
 		`cpr_stage_seconds_count{stage="route"} 1`,
+		`cpr_stage_seconds_count{stage="generate"} 3`,
+		`cpr_stage_seconds_count{stage="conflicts"} 3`,
+		`cpr_stage_seconds_count{stage="assign"} 3`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

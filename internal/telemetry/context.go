@@ -76,3 +76,16 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	sp := t.StartSpan(name, SpanFrom(ctx))
 	return context.WithValue(ctx, spanKey, sp), sp
 }
+
+// StartStage is StartSpan for a pipeline stage: the span's End also
+// observes its duration on the context registry's cpr_stage_seconds
+// histogram, labelled by stage. Stage latency is thus read off the
+// trace's own clock; without a tracer in ctx nothing is observed.
+func StartStage(ctx context.Context, stage string) (context.Context, *Span) {
+	ctx, sp := StartSpan(ctx, stage)
+	if sp != nil {
+		sp.stage = RegistryFrom(ctx).Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
+			DefSecondsBuckets, L("stage", stage))
+	}
+	return ctx, sp
+}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one constant instrument label.
@@ -322,13 +321,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		inst.hist = &Histogram{bounds: bs, counts: make([]uint64, len(bs)+1)}
 	}
 	return inst.hist
-}
-
-// ObserveStage records one pipeline stage's wall-clock duration on the
-// cpr_stage_seconds histogram, labelled by stage. No-op on nil registry.
-func (r *Registry) ObserveStage(stage string, d time.Duration) {
-	r.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
-		DefSecondsBuckets, L("stage", stage)).Observe(d.Seconds())
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanTree(t *testing.T) {
@@ -358,5 +359,72 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 			t.Fatalf("round %d: lost observations: counter %g gauge %g histogram %d, want %d each",
 				round, ctrs[0].Value(), gauges[0].Value(), hists[0].Count(), workers)
 		}
+	}
+}
+
+// TestSubtreeDurations: the sums cover exactly the ended spans below the
+// root — nested ones included, a sibling root's and still-open spans
+// not — while other goroutines keep adding spans to the same tracer.
+func TestSubtreeDurations(t *testing.T) {
+	tr := New()
+	run := tr.StartSpan("run", nil)
+	other := tr.StartSpan("run", nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tr.StartSpan("route:drc", other).End()
+				_ = run.SubtreeDurations()
+			}
+		}()
+	}
+	route := tr.StartSpan("route", run)
+	var drc time.Duration
+	for i := 0; i < 3; i++ {
+		drc += tr.StartSpan("route:drc", tr.StartSpan("region", route)).End()
+	}
+	open := tr.StartSpan("route:drc", route)
+	wantRoute := route.End()
+	wg.Wait()
+
+	got := run.SubtreeDurations()
+	if got["route"] != wantRoute || got["route:drc"] != drc {
+		t.Errorf("route = %v, route:drc = %v; want %v, %v", got["route"], got["route:drc"], wantRoute, drc)
+	}
+	if _, ok := got["run"]; ok {
+		t.Error("the root span counted itself")
+	}
+	late := open.End()
+	if got := run.SubtreeDurations()["route:drc"]; got != drc+late {
+		t.Errorf("after End route:drc = %v, want %v", got, drc+late)
+	}
+	var nilSpan *Span
+	if nilSpan.SubtreeDurations() != nil {
+		t.Error("nil span must report no durations")
+	}
+}
+
+// TestStartStageObservesOnce: a stage span records its duration on
+// cpr_stage_seconds exactly once, at its first End; without a tracer in
+// the context there is no span and nothing is observed.
+func TestStartStageObservesOnce(t *testing.T) {
+	reg := NewRegistry()
+	hist := reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
+		DefSecondsBuckets, L("stage", "assign"))
+	ctx := WithRegistry(context.Background(), reg)
+
+	if _, sp := StartStage(ctx, "assign"); sp != nil {
+		t.Fatal("StartStage without a tracer returned a span")
+	}
+	_, sp := StartStage(WithTracer(ctx, New()), "assign")
+	d := sp.End()
+	sp.End()
+	if n := hist.Count(); n != 1 {
+		t.Fatalf("cpr_stage_seconds count = %d, want 1", n)
+	}
+	if s := hist.Snapshot(); s.Sum != d.Seconds() {
+		t.Errorf("observed %gs, want the span's %gs", s.Sum, d.Seconds())
 	}
 }

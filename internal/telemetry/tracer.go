@@ -5,10 +5,10 @@
 //
 // The hard contract (DESIGN.md §4e): telemetry is strictly observational.
 // Spans and metrics may read anything but influence nothing — results are
-// byte-identical with telemetry on or off, for every worker count. All
-// wall-clock readings live inside this package (or behind explicitly
-// suppressed //cprlint:nondeterm sites in the restricted packages) and
-// never reach a routing result, an artifact encoding, or a cache key.
+// byte-identical with telemetry on or off, for every worker count. The
+// pipeline's only wall-clock reads are span starts and ends in this
+// package, stage latencies are span durations, and neither ever reaches
+// a routing result, an artifact encoding, or a cache key.
 //
 // A nil *Tracer, *Registry, or *Span is fully usable: every method is a
 // no-op on a nil receiver, so instrumented code needs no conditionals and
@@ -53,6 +53,8 @@ type Span struct {
 	start time.Time
 	end   time.Time
 	attrs []Attr
+	// stage, when set by StartStage, receives the duration at End.
+	stage *Histogram
 }
 
 // Tracer collects spans for one traced run (a CLI invocation or one cprd
@@ -134,11 +136,41 @@ func (s *Span) End() time.Duration {
 	d := s.end.Sub(s.start)
 	s.mu.Unlock()
 	if first {
+		s.stage.Observe(d.Seconds())
 		if em := s.tracer.emitterRef(); em != nil {
 			em.Emit("span_end", map[string]any{"span": s.ID, "name": s.Name, "duration_ns": d.Nanoseconds()})
 		}
 	}
 	return d
+}
+
+// SubtreeDurations sums the durations of the ended spans below s (s
+// itself excluded) by span name. A span's ID is its position in
+// creation order and a child is always created after its parent, so one
+// forward pass from s visits the whole subtree. Safe on nil.
+func (s *Span) SubtreeDurations() map[string]time.Duration {
+	if s == nil || s.tracer == nil {
+		return nil
+	}
+	s.tracer.mu.Lock()
+	later := s.tracer.spans[s.ID:]
+	s.tracer.mu.Unlock()
+	// inTree[i] records whether the span with ID s.ID+i is s or below it.
+	inTree := make([]bool, len(later)+1)
+	inTree[0] = true
+	sums := make(map[string]time.Duration)
+	for i, sp := range later {
+		if sp.ParentID < s.ID || !inTree[sp.ParentID-s.ID] {
+			continue
+		}
+		inTree[i+1] = true
+		sp.mu.Lock()
+		if !sp.end.IsZero() {
+			sums[sp.Name] += sp.end.Sub(sp.start)
+		}
+		sp.mu.Unlock()
+	}
+	return sums
 }
 
 // SetAttr appends one attribute. Safe on nil. Keys repeated across calls
