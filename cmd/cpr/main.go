@@ -66,12 +66,7 @@ func main() {
 
 	var d *design.Design
 	if *loadPath != "" {
-		f, ferr := os.Open(*loadPath)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		d, err = designio.Read(f)
-		f.Close()
+		d, err = cliutil.ReadDesign(*loadPath)
 	} else {
 		d, err = buildDesign(*circuit, *nets, *width, *height, *seed)
 	}

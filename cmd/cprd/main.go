@@ -114,7 +114,7 @@ func main() {
 		fetcher = exchange.NewHTTPFetcher(peers, exchange.HTTPOptions{Timeout: *peerTimeout, Registry: registry})
 	}
 	exch := exchange.New(store, fetcher, registry)
-	resultCache := jobs.NewExchangedResultCache(*cacheCap, *panelCap, *routeCap, exch)
+	resultCache := jobs.NewResultCache(*cacheCap, *panelCap, *routeCap, exch)
 
 	// The event bus is the flight recorder and the SSE stream source. It
 	// is on by default and independent of -trace-jobs: post-mortems via

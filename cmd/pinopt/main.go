@@ -135,8 +135,7 @@ func runDesign(ctx context.Context, d *design.Design, workers int, ruleEngine, b
 		if err != nil {
 			fatal(err)
 		}
-		pc := cache.New[*pipeline.PanelArtifact](0)
-		opts.PanelCache = pc
+		opts.PanelCache = cache.New[*pipeline.PanelArtifact](0)
 		if _, _, err := core.OptimizePinAccessContext(ctx, base, opts); err != nil {
 			fatal(fmt.Errorf("baseline run: %w", err))
 		}
@@ -156,8 +155,8 @@ func runDesign(ctx context.Context, d *design.Design, workers int, ruleEngine, b
 		}
 	}
 	fmt.Printf("panels converged without refinement: %d/%d\n", converged, len(rep.Panels))
-	if pc, ok := opts.PanelCache.(*cache.Cache[*pipeline.PanelArtifact]); ok && pc != nil {
-		st := pc.Stats()
+	if opts.PanelCache != nil {
+		st := opts.PanelCache.Stats()
 		fmt.Printf("panel cache: %d hits, %d misses (reused %d/%d panels of the main run)\n",
 			st.Hits, st.Misses, st.Hits, len(rep.Panels))
 	}

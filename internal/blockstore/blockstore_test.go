@@ -31,8 +31,11 @@ func stores(t *testing.T, maxBytes int64) map[string]Store {
 	}
 }
 
+// TestPutGetHasDelete covers the block lifecycle. The size-bounded GC is
+// the only way a block leaves a store, so deletion is driven by a Put
+// past the bound.
 func TestPutGetHasDelete(t *testing.T) {
-	for name, s := range stores(t, 0) {
+	for name, s := range stores(t, 24) {
 		t.Run(name, func(t *testing.T) {
 			key := k("a")
 			if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
@@ -67,14 +70,19 @@ func TestPutGetHasDelete(t *testing.T) {
 			if st.Blocks != 1 || st.Bytes != int64(len(want2)) {
 				t.Fatalf("Stats = %+v, want 1 block of %d bytes", st, len(want2))
 			}
-			if err := s.Delete(key); err != nil {
+			// A newer block past the bound collects the old one.
+			if err := s.Put(k("b"), []byte("block-b")); err != nil {
 				t.Fatal(err)
 			}
 			if ok, _ := s.Has(key); ok {
-				t.Fatal("Has after Delete = true")
+				t.Fatal("Has after collection = true")
 			}
-			if err := s.Delete(key); err != nil {
-				t.Fatalf("Delete of absent key: %v", err)
+			if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get after collection: %v, want ErrNotFound", err)
+			}
+			st = s.Stats()
+			if st.Blocks != 1 || st.Bytes != int64(len("block-b")) || st.Evictions != 1 {
+				t.Fatalf("Stats = %+v, want 1 block of %d bytes, 1 eviction", st, len("block-b"))
 			}
 		})
 	}
@@ -149,48 +157,6 @@ func TestGCBoundAndLRUOrder(t *testing.T) {
 	}
 }
 
-func TestGCNeverCollectsPinned(t *testing.T) {
-	for name, s := range stores(t, 40) {
-		t.Run(name, func(t *testing.T) {
-			block := bytes.Repeat([]byte("p"), 24)
-			pinned := k("pinned")
-			s.Pin(pinned)
-			if err := s.Put(pinned, block); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 4; i++ {
-				if err := s.Put(k(fmt.Sprintf("filler%d", i)), block); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ok, _ := s.Has(pinned); !ok {
-				t.Fatal("pinned block was collected")
-			}
-			// Double pin: one Unpin keeps it protected.
-			s.Pin(pinned)
-			s.Unpin(pinned)
-			for i := 4; i < 8; i++ {
-				if err := s.Put(k(fmt.Sprintf("filler%d", i)), block); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ok, _ := s.Has(pinned); !ok {
-				t.Fatal("block with a remaining pin reference was collected")
-			}
-			// Fully unpinned, the stale block is collectable again.
-			s.Unpin(pinned)
-			for i := 8; i < 12; i++ {
-				if err := s.Put(k(fmt.Sprintf("filler%d", i)), block); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ok, _ := s.Has(pinned); ok {
-				t.Fatal("unpinned stale block survived GC pressure")
-			}
-		})
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	for name, s := range stores(t, 4096) {
 		t.Run(name, func(t *testing.T) {
@@ -201,16 +167,13 @@ func TestConcurrentAccess(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < 50; i++ {
 						key := k(fmt.Sprintf("c%d", (w+i)%20))
-						switch i % 4 {
+						switch i % 3 {
 						case 0:
 							_ = s.Put(key, []byte("concurrent"))
 						case 1:
 							_, _ = s.Get(key)
-						case 2:
-							_, _ = s.Has(key)
 						default:
-							s.Pin(key)
-							s.Unpin(key)
+							_, _ = s.Has(key)
 						}
 					}
 				}(w)

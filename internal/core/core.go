@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"cpr/internal/assign"
+	"cpr/internal/cache"
 	"cpr/internal/design"
 	"cpr/internal/grid"
 	"cpr/internal/ilp"
@@ -119,27 +120,6 @@ func (o Optimizer) String() string {
 	return "lr"
 }
 
-// PanelCache is a panel-level artifact store the optimization pipeline
-// consults before solving a panel and updates after. Entries are
-// content-addressed (pipeline.PanelKeyFor), so a cache can never change
-// a result — only skip recomputation. A *cache.Cache[*pipeline.PanelArtifact]
-// satisfies the interface.
-type PanelCache interface {
-	Get(key string) (*pipeline.PanelArtifact, bool)
-	Put(key string, a *pipeline.PanelArtifact)
-}
-
-// RouteCache is a region-level route artifact store the routing stage
-// consults before routing a region and updates after. Entries are
-// content-addressed (pipeline.RouteKeyFor) — equal keys address
-// byte-identical route bundles — so a cache can never change a result,
-// only skip re-routing. A *cache.Cache[*pipeline.RouteArtifact] satisfies
-// the interface.
-type RouteCache interface {
-	Get(key string) (*pipeline.RouteArtifact, bool)
-	Put(key string, a *pipeline.RouteArtifact)
-}
-
 // Options configures a run. Zero values give the paper's defaults
 // (ModeCPR with LR optimization).
 //
@@ -172,19 +152,22 @@ type Options struct {
 	Workers int
 	// PanelCache, when non-nil, is consulted for per-panel artifacts
 	// before each panel is solved and updated with recomputed ones.
-	// Content addressing makes it invisible in results (it never affects
-	// bytes, only wall clock), so it is excluded from cache-key
-	// fingerprints, like Workers.
+	// Entries are content-addressed (pipeline.PanelKeyFor), so the cache
+	// is invisible in results (it never affects bytes, only wall clock)
+	// and is excluded from cache-key fingerprints, like Workers. A
+	// backed cache's lookups carry the run's context, so a peer-served
+	// panel shows up in the job's stitched trace.
 	//
 	//keypurity:exempt content-addressed artifact store; equal keys address byte-identical artifacts, so a cache can only skip recomputation
-	PanelCache PanelCache
+	PanelCache *cache.Cache[*pipeline.PanelArtifact]
 	// RouteCache, when non-nil, is consulted for per-region route bundles
 	// before each region is routed and updated with recomputed ones.
-	// Content-addressed like PanelCache, and equally invisible in
+	// Content-addressed like PanelCache (pipeline.RouteKeyFor: equal keys
+	// address byte-identical route bundles), and equally invisible in
 	// results.
 	//
 	//keypurity:exempt content-addressed artifact store; equal keys address byte-identical artifacts, so a cache can only skip recomputation
-	RouteCache RouteCache
+	RouteCache *cache.Cache[*pipeline.RouteArtifact]
 	// RerunMode selects the routing reuse contract of Rerun: RerunStrict
 	// (default, byte-identical) or RerunEcoFast (verified DRC-clean and
 	// objective-equal). Ignored on cold runs, which have nothing to
@@ -564,7 +547,7 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 			// daemon's panel-level hit rate); equal keys address identical
 			// artifacts, so the lookup order cannot affect results.
 			if opts.PanelCache != nil {
-				if art, ok := panelCacheGet(pctx, opts.PanelCache, key); ok {
+				if art, ok := opts.PanelCache.Get(pctx, key); ok {
 					results[slot] = outcome{art: art, reused: true}
 					sp.SetAttr("reused", true)
 					sp.SetAttr("source", "cache")

@@ -56,7 +56,7 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 			key := pipeline.RouteKeyFor(d, r, rg)
 			var art *pipeline.RouteArtifact
 			if opts.RouteCache != nil {
-				if a, ok := routeCacheGet(ctx, opts.RouteCache, key); ok {
+				if a, ok := opts.RouteCache.Get(ctx, key); ok {
 					art = a
 				}
 			}

@@ -31,7 +31,7 @@ func keyPaths(prefix string, v any, out *[]string) {
 // cprd serves it, and that an executed job reports its Table 2 seconds
 // and pin-access time as non-zero.
 func TestFinishedJobWireKeys(t *testing.T) {
-	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(16, 0, 0))
+	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(16, 0, 0, nil))
 	ts := httptest.NewServer(server.New(mgr).Handler())
 	defer ts.Close()
 

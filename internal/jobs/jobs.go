@@ -26,31 +26,34 @@ import (
 )
 
 // ResultCache is the daemon's three-level cache: whole-design results at
-// the top, per-panel pipeline artifacts and per-region route bundles
-// below. A design-level hit answers a resubmission without running
-// anything; a design-level miss still harvests panel- and route-level
-// hits for everything the edit provably cannot affect.
-type ResultCache = cache.ThreeLevel[*core.RunResult, *pipeline.PanelArtifact, *pipeline.RouteArtifact]
-
-// NewResultCache creates the three-level cache. Capacities <= 0 take the
-// cache package defaults; the panel and route levels typically want a
-// multiple of the design level (one design contributes many panels and
-// regions).
-func NewResultCache(designCap, panelCap, routeCap int) *ResultCache {
-	return cache.NewThreeLevel[*core.RunResult, *pipeline.PanelArtifact, *pipeline.RouteArtifact](designCap, panelCap, routeCap)
+// the top (keyed by cache.Key), per-panel pipeline artifacts
+// (cache.PanelKey) and per-region route bundles (cache.RouteKey) below.
+// A design-level hit answers a resubmission without running anything; a
+// design-level miss still harvests panel- and route-level hits for
+// everything the edit provably cannot affect. Each level keeps its own
+// capacity, eviction and hit/miss accounting.
+type ResultCache struct {
+	Design *cache.Cache[*core.RunResult]
+	Panel  *cache.Cache[*pipeline.PanelArtifact]
+	Route  *cache.Cache[*pipeline.RouteArtifact]
 }
 
-// NewExchangedResultCache creates the three-level cache on top of a
-// block source (exchange.Service): every level keeps its typed
-// in-memory LRU, but misses fall through to the content-addressed block
-// store — and, when the source has peers, to other daemons — and puts
-// write blocks through, making them durable and servable. Decoded panel
-// and route artifacts are verified to carry the requested key before
-// they are spliced; design-level results don't carry their key (it
-// covers the design bytes, which the result does not retain), so they
-// rely on the key's collision resistance alone, exactly like the
-// in-memory design level always has.
-func NewExchangedResultCache(designCap, panelCap, routeCap int, src cache.BlockSource) *ResultCache {
+// NewResultCache creates the three levels. Capacities <= 0 take the
+// cache package default; the panel and route levels typically want a
+// multiple of the design level (one design contributes many panels and
+// regions).
+//
+// With a non-nil block source (exchange.Service) every level keeps its
+// typed in-memory LRU, but misses fall through to the content-addressed
+// block store — and, when the source has peers, to other daemons — and
+// puts write blocks through, making them durable and servable. Decoded
+// panel and route artifacts are verified to carry the requested key
+// before they are spliced; design-level results don't carry their key
+// (it covers the design bytes, which the result does not retain), so
+// they rely on the key's collision resistance alone, exactly like the
+// in-memory design level always has. A nil src keeps all three levels
+// memory-only.
+func NewResultCache(designCap, panelCap, routeCap int, src cache.BlockSource) *ResultCache {
 	return &ResultCache{
 		Design: cache.NewBacked[*core.RunResult](designCap, src,
 			core.EncodeResult, core.DecodeResult, nil),
@@ -580,7 +583,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	m.mu.Unlock()
 
 	if cacheable && m.cache != nil {
-		if res, ok := m.cache.Design.Get(key); ok {
+		if res, ok := m.cache.Design.Get(context.TODO(), key); ok {
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			if m.draining {

@@ -52,7 +52,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	job, err := m.Submit(d, core.Options{})
@@ -82,7 +82,7 @@ func TestCacheHitOnIdenticalResubmission(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	first, err := m.Submit(d, core.Options{})
@@ -123,7 +123,7 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 	a, _ := m.Submit(d, optsN(1))
 	waitTerminal(t, a)
@@ -144,7 +144,7 @@ func TestCoalesceIdenticalInflight(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	a, err := m.Submit(d, core.Options{})
@@ -176,7 +176,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	first, err := m.Submit(d, optsN(1))
@@ -212,7 +212,7 @@ func TestJobTimeoutFailsWithoutWedging(t *testing.T) {
 			}
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	slow, err := m.Submit(d, optsN(999))
@@ -243,7 +243,7 @@ func TestDrainCompletesInflightJobs(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	var jobs []*Job
@@ -276,7 +276,7 @@ func TestDrainDeadlineCancelsRunningJobs(t *testing.T) {
 			<-ctx.Done() // cooperates with cancellation but never finishes on its own
 			return nil, ctx.Err()
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewResultCache(16, 0, 0, nil))
 	d := testDesign(t)
 
 	running, err := m.Submit(d, optsN(1))
@@ -319,7 +319,7 @@ func TestStressNoJobLostNoDoubleRun(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(keys*2, 0, 0))
+	}, NewResultCache(keys*2, 0, 0, nil))
 	d := testDesign(t)
 
 	var (
@@ -394,7 +394,7 @@ func TestSubmitBaseDispatchesRerun(t *testing.T) {
 			gotBase = prev
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 16, 0))
+	}, NewResultCache(16, 16, 0, nil))
 	d := testDesign(t)
 
 	base, err := m.Submit(d, optsN(1))
@@ -431,7 +431,7 @@ func TestSubmitBaseErrors(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 16, 0))
+	}, NewResultCache(16, 16, 0, nil))
 	d := testDesign(t)
 
 	if _, err := m.SubmitBase(d, core.Options{}, "no-such-job"); !errors.Is(err, ErrUnknownBaseJob) {
@@ -461,7 +461,7 @@ func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
 			{Panel: 2}, // keyless artifacts must be skipped, not inserted
 		},
 	}
-	c := NewResultCache(16, 16, 0)
+	c := NewResultCache(16, 16, 0, nil)
 	m := New(Config{
 		MaxConcurrent: 1,
 		Run: func(ctx context.Context, d *design.Design, o core.Options) (*core.RunResult, error) {
@@ -495,6 +495,96 @@ func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
 	}
 }
 
+// TestResultCacheIndependentAccounting: the three levels count hits and
+// misses separately.
+func TestResultCacheIndependentAccounting(t *testing.T) {
+	c := NewResultCache(2, 2, 2, nil)
+	c.Design.Put("d1", &core.RunResult{})
+	c.Panel.Put("p1", &pipeline.PanelArtifact{Key: "p1"})
+	c.Route.Put("r1", &pipeline.RouteArtifact{Key: "r1"})
+
+	ctx := context.Background()
+	if _, ok := c.Design.Get(ctx, "d1"); !ok {
+		t.Fatal("design level lost its entry")
+	}
+	if _, ok := c.Panel.Get(ctx, "missing"); ok {
+		t.Fatal("panel level fabricated an entry")
+	}
+	if _, ok := c.Route.Get(ctx, "r1"); !ok {
+		t.Fatal("route level lost its entry")
+	}
+
+	design, panel, route := c.Design.Stats(), c.Panel.Stats(), c.Route.Stats()
+	if design.Hits != 1 || design.Misses != 0 {
+		t.Fatalf("design stats = %+v", design)
+	}
+	if panel.Hits != 0 || panel.Misses != 1 {
+		t.Fatalf("panel stats = %+v", panel)
+	}
+	if route.Hits != 1 || route.Misses != 0 {
+		t.Fatalf("route stats = %+v", route)
+	}
+	if design.Entries != 1 || panel.Entries != 1 || route.Entries != 1 {
+		t.Fatalf("entry counts = %d %d %d", design.Entries, panel.Entries, route.Entries)
+	}
+}
+
+// TestResultCachePerLevelEviction: each level evicts against its own
+// capacity and leaves the others untouched.
+func TestResultCachePerLevelEviction(t *testing.T) {
+	c := NewResultCache(1, 2, 3, nil)
+	for i := 0; i < 4; i++ {
+		k := fmt.Sprintf("k%d", i)
+		c.Design.Put(k, &core.RunResult{})
+		c.Panel.Put(k, &pipeline.PanelArtifact{Key: k})
+		c.Route.Put(k, &pipeline.RouteArtifact{Key: k})
+	}
+	if st := c.Design.Stats(); st.Entries != 1 || st.Evictions != 3 {
+		t.Fatalf("design after overflow = %+v", st)
+	}
+	if st := c.Panel.Stats(); st.Entries != 2 || st.Evictions != 2 {
+		t.Fatalf("panel after overflow = %+v", st)
+	}
+	if st := c.Route.Stats(); st.Entries != 3 || st.Evictions != 1 {
+		t.Fatalf("route after overflow = %+v", st)
+	}
+	// k0 survives nowhere; k1 survives where capacity allowed.
+	if c.Design.Contains("k0") || c.Route.Contains("k0") {
+		t.Fatal("a level kept an entry beyond capacity")
+	}
+	if !c.Route.Contains("k1") {
+		t.Fatal("route evicted more than its overflow")
+	}
+}
+
+// TestResultCacheContainsCounterNeutral: Contains probes on any level
+// leave every level's hit/miss counters at zero and do not refresh LRU
+// recency.
+func TestResultCacheContainsCounterNeutral(t *testing.T) {
+	c := NewResultCache(4, 4, 4, nil)
+	c.Panel.Put("p", &pipeline.PanelArtifact{Key: "p"})
+	for i := 0; i < 5; i++ {
+		c.Panel.Contains("p")
+		c.Panel.Contains("absent")
+		c.Design.Contains("absent")
+		c.Route.Contains("absent")
+	}
+	design, panel, route := c.Design.Stats(), c.Panel.Stats(), c.Route.Stats()
+	if design.Hits+design.Misses+panel.Hits+panel.Misses+route.Hits+route.Misses != 0 {
+		t.Fatalf("Contains touched counters: design %+v panel %+v route %+v", design, panel, route)
+	}
+	// Contains must also not refresh recency: old becomes the LRU victim
+	// even after the Contains probe below.
+	small := NewResultCache(4, 2, 4, nil)
+	small.Panel.Put("old", &pipeline.PanelArtifact{Key: "old"})
+	small.Panel.Put("new", &pipeline.PanelArtifact{Key: "new"})
+	small.Panel.Contains("old")
+	small.Panel.Put("newest", &pipeline.PanelArtifact{Key: "newest"})
+	if small.Panel.Contains("old") {
+		t.Fatal("Contains refreshed LRU recency")
+	}
+}
+
 // TestDesignBlockVersionSkewRecomputes is the fail-closed contract of the
 // design-level block codec: a block in the previous format (version 1,
 // whose pin-access report still carried a wall-clock Elapsed field) is
@@ -504,7 +594,7 @@ func TestDesignBlockVersionSkewRecomputes(t *testing.T) {
 	d := testDesign(t)
 	run := func(store blockstore.Store) Snapshot {
 		t.Helper()
-		mgr := New(Config{MaxConcurrent: 1}, NewExchangedResultCache(8, 64, 64, exchange.New(store, nil, nil)))
+		mgr := New(Config{MaxConcurrent: 1}, NewResultCache(8, 64, 64, exchange.New(store, nil, nil)))
 		job, err := mgr.Submit(d, core.Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -57,7 +57,7 @@ func newObservedClusterNode(t *testing.T, store blockstore.Store, peers []string
 		fetcher = exchange.NewHTTPFetcher(peers, hopts)
 	}
 	exch := exchange.New(store, fetcher, reg)
-	mgr := jobs.New(cfg, jobs.NewExchangedResultCache(64, 256, 256, exch))
+	mgr := jobs.New(cfg, jobs.NewResultCache(64, 256, 256, exch))
 	srv := New(mgr)
 	srv.SetExchange(exch, peers)
 	if node != "" {

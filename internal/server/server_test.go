@@ -27,7 +27,7 @@ var smallSpec = client.Spec{Name: "srv-test", Nets: 20, Width: 80, Height: 30, S
 // behind an httptest server and returns a client for it.
 func newTestServer(t *testing.T, cfg jobs.Config) (*jobs.Manager, *client.Client) {
 	t.Helper()
-	mgr := jobs.New(cfg, jobs.NewResultCache(256, 0, 0))
+	mgr := jobs.New(cfg, jobs.NewResultCache(256, 0, 0, nil))
 	ts := httptest.NewServer(New(mgr).Handler())
 	t.Cleanup(ts.Close)
 	return mgr, client.New(ts.URL)
@@ -282,7 +282,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestExpvarExposesCounters(t *testing.T) {
-	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(8, 0, 0))
+	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(8, 0, 0, nil))
 	ts := httptest.NewServer(New(mgr).Handler())
 	defer ts.Close()
 

@@ -244,6 +244,9 @@ func TestRemoteSpanEncodeDecode(t *testing.T) {
 func TestAdoptRemote(t *testing.T) {
 	tr := New()
 	parent := tr.StartSpan("peer_fetch", nil)
+	// Backdate the fetch so the remote millisecond fits inside it; a
+	// longer claim is clamped (see TestAdoptRemoteEndsNow).
+	parent.start = parent.start.Add(-time.Second)
 	child := parent.AdoptRemote(RemoteSpan{Name: "serve_block", DurationNS: int64(time.Millisecond)})
 	parent.End()
 

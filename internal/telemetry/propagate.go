@@ -112,14 +112,18 @@ func DecodeRemoteSpan(s string) (RemoteSpan, bool) {
 	if err := json.Unmarshal([]byte(s), &r); err != nil || r.Name == "" {
 		return RemoteSpan{}, false
 	}
+	if len(r.Attrs) == 0 {
+		r.Attrs = nil // "attrs":[] and an absent field decode alike
+	}
 	return r, true
 }
 
 // AdoptRemote records a remote node's work as a finished child of s. The
 // child is anchored on the local clock: it ends now and starts
-// r.DurationNS earlier (clamped to not precede its parent), which keeps
-// the stitched trace well-formed under arbitrary clock skew. Safe on nil
-// (returns nil).
+// r.DurationNS earlier, clamped to not precede its parent (a claimed
+// duration longer than the parent has existed shortens the child), which
+// keeps the stitched trace well-formed under arbitrary clock skew. Safe
+// on nil (returns nil).
 func (s *Span) AdoptRemote(r RemoteSpan) *Span {
 	if s == nil || s.tracer == nil {
 		return nil
@@ -129,7 +133,8 @@ func (s *Span) AdoptRemote(r RemoteSpan) *Span {
 	if dur < 0 {
 		dur = 0
 	}
-	start := time.Now().Add(-dur)
+	now := time.Now()
+	start := now.Add(-dur)
 	s.mu.Lock()
 	if start.Before(s.start) {
 		start = s.start
@@ -141,7 +146,7 @@ func (s *Span) AdoptRemote(r RemoteSpan) *Span {
 		Name:     r.Name,
 		Lane:     s.Lane,
 		start:    start,
-		end:      start.Add(dur),
+		end:      now,
 	}
 	sp.attrs = append(sp.attrs, r.Attrs...)
 	sp.attrs = append(sp.attrs, Attr{Key: "remote", Value: true})
