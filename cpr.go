@@ -104,8 +104,6 @@ type (
 	PinOptReport = core.PinOptReport
 	// RouterConfig tunes the negotiation router.
 	RouterConfig = router.Config
-	// SequentialConfig tunes the sequential baseline.
-	SequentialConfig = router.SequentialConfig
 	// Metrics is a Table 2 style metric row.
 	Metrics = metrics.Routing
 	// ExperimentConfig selects circuits and effort for experiments.

@@ -125,12 +125,11 @@ func (o Optimizer) String() string {
 //
 //keypurity:options
 type Options struct {
-	Mode       Mode
-	Optimizer  Optimizer
-	LR         lagrange.Config
-	ILP        ilp.Config
-	Router     router.Config
-	Sequential router.SequentialConfig
+	Mode      Mode
+	Optimizer Optimizer
+	LR        lagrange.Config
+	ILP       ilp.Config
+	Router    router.Config
 	// Profit is the interval profit function (default assign.SqrtProfit).
 	// With more than one worker it must be safe for concurrent calls (the
 	// built-in profit functions are pure). A custom function makes panel
@@ -408,7 +407,7 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 	case ModeNoPinOpt:
 		res.Router = runRouter(ctx, r.RunCtx)
 	case ModeSequential:
-		res.Router = runRouter(ctx, func(context.Context) *router.Result { return r.RunSequential(opts.Sequential) })
+		res.Router = runRouter(ctx, func(context.Context) *router.Result { return r.RunSequential() })
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)
 	}

@@ -176,10 +176,9 @@ func TestFetcherBackoffSkipsDeadPeer(t *testing.T) {
 	defer deadCounting.Close()
 	live := blockPeer(t, map[string][]byte{key: []byte("live-block")}, nil)
 
-	f := NewHTTPFetcher([]string{deadCounting.URL, live.URL}, HTTPOptions{
-		BackoffBase: time.Hour, // one failure benches the peer for the test's lifetime
-		BackoffMax:  time.Hour,
-	})
+	f := NewHTTPFetcher([]string{deadCounting.URL, live.URL}, HTTPOptions{})
+	frozen := time.Unix(1000, 0) // the clock never leaves the first penalty window
+	f.now = func() time.Time { return frozen }
 	for i := 0; i < 3; i++ {
 		data, err := f.Fetch(context.Background(), key)
 		if err != nil || string(data) != "live-block" {
@@ -191,20 +190,20 @@ func TestFetcherBackoffSkipsDeadPeer(t *testing.T) {
 	}
 
 	// Clock control: after the penalty window the peer is retried.
-	f2 := NewHTTPFetcher([]string{dead.URL}, HTTPOptions{BackoffBase: time.Minute, BackoffMax: time.Hour})
+	f2 := NewHTTPFetcher([]string{dead.URL}, HTTPOptions{})
 	now := time.Unix(1000, 0)
 	f2.now = func() time.Time { return now }
 	_, _ = f2.Fetch(context.Background(), key) // records the failure
 	if !f2.inBackoff(f2.peers[0]) {
 		t.Fatal("peer not in backoff after failure")
 	}
-	now = now.Add(2 * time.Minute)
+	now = now.Add(2 * defaultBackoffBase)
 	if f2.inBackoff(f2.peers[0]) {
 		t.Fatal("peer still in backoff after the penalty window")
 	}
 	// A second consecutive failure doubles the penalty.
 	_, _ = f2.Fetch(context.Background(), key)
-	if want := now.Add(2 * time.Minute); !f2.peers[0].until.Equal(want) {
+	if want := now.Add(2 * defaultBackoffBase); !f2.peers[0].until.Equal(want) {
 		t.Fatalf("second penalty until = %v, want %v", f2.peers[0].until, want)
 	}
 }

@@ -18,6 +18,9 @@ import (
 // always available, so the budget per peer is small.
 const (
 	DefaultPeerTimeout = 2 * time.Second
+	// defaultBackoffBase is the penalty after a peer's first transport
+	// failure; it doubles per consecutive failure up to defaultBackoffMax.
+	// A clean response (200 or 404) resets the penalty.
 	defaultBackoffBase = 500 * time.Millisecond
 	defaultBackoffMax  = 30 * time.Second
 )
@@ -26,11 +29,6 @@ const (
 type HTTPOptions struct {
 	// Timeout bounds each single-peer request (default DefaultPeerTimeout).
 	Timeout time.Duration
-	// BackoffBase is the penalty after a peer's first transport failure;
-	// it doubles per consecutive failure up to BackoffMax. A clean
-	// response (200 or 404) resets the penalty.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 	// Registry, when set, records per-peer fetch latency
@@ -76,8 +74,6 @@ type PeerHealth struct {
 type HTTPFetcher struct {
 	client  *http.Client
 	timeout time.Duration
-	base    time.Duration
-	max     time.Duration
 	now     func() time.Time // injectable for tests
 
 	mu    sync.Mutex
@@ -91,8 +87,6 @@ func NewHTTPFetcher(peers []string, opts HTTPOptions) *HTTPFetcher {
 	f := &HTTPFetcher{
 		client:  opts.Client,
 		timeout: opts.Timeout,
-		base:    opts.BackoffBase,
-		max:     opts.BackoffMax,
 		now:     time.Now,
 	}
 	if f.client == nil {
@@ -100,12 +94,6 @@ func NewHTTPFetcher(peers []string, opts HTTPOptions) *HTTPFetcher {
 	}
 	if f.timeout <= 0 {
 		f.timeout = DefaultPeerTimeout
-	}
-	if f.base <= 0 {
-		f.base = defaultBackoffBase
-	}
-	if f.max <= 0 {
-		f.max = defaultBackoffMax
 	}
 	for _, p := range peers {
 		p = strings.TrimSpace(p)
@@ -257,7 +245,8 @@ func (f *HTTPFetcher) markOK(p *peerState) {
 }
 
 // markFailed records a transport failure and extends the peer's penalty
-// window exponentially (base << failures, capped at max).
+// window exponentially (defaultBackoffBase << failures, capped at
+// defaultBackoffMax).
 func (f *HTTPFetcher) markFailed(p *peerState, err error) {
 	p.errCtr.Inc()
 	f.mu.Lock()
@@ -267,9 +256,9 @@ func (f *HTTPFetcher) markFailed(p *peerState, err error) {
 	if err != nil {
 		p.lastErr = err.Error()
 	}
-	d := f.base << (p.failures - 1)
-	if d > f.max || d <= 0 {
-		d = f.max
+	d := defaultBackoffBase << (p.failures - 1)
+	if d > defaultBackoffMax || d <= 0 {
+		d = defaultBackoffMax
 	}
 	p.until = f.now().Add(d)
 }

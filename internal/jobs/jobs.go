@@ -315,9 +315,9 @@ func Fingerprint(o core.Options) string {
 	fmt.Fprintf(&b, "v3 mode=%s engine=%s", o.Mode, o.RuleEngine)
 	b.WriteString(" " + o.SolverConfig().Fingerprint())
 	b.WriteString(" " + pipeline.RouterFingerprint(o.Router))
-	s := o.Sequential
-	fmt.Fprintf(&b, " seq=%d,%d,%d,%d",
-		s.RetryRounds, s.WindowMargin, s.MaxRipsPerNet, s.VictimsPerFailure)
+	// The sequential baseline's schedule is fixed; the suffix is kept so
+	// persisted design keys stay valid.
+	b.WriteString(" seq=0,0,0,0")
 	return b.String()
 }
 
@@ -568,11 +568,9 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	// Draining and coalescing are (re-)checked under the lock afterwards.
 	m.mu.Lock()
 	if m.draining {
-		m.rejectedDrain++
-		m.mRejectedDrn.Inc()
+		err := m.rejectDrainingLocked()
 		m.mu.Unlock()
-		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
-		return nil, ErrDraining
+		return nil, err
 	}
 	if cacheable {
 		if existing, ok := m.inflight[key]; ok {
@@ -587,10 +585,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			if m.draining {
-				m.rejectedDrain++
-				m.mRejectedDrn.Inc()
-				m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
-				return nil, ErrDraining
+				return nil, m.rejectDrainingLocked()
 			}
 			job := m.newJobLocked(key, d, opts)
 			job.BaseJobID = baseJobID
@@ -611,10 +606,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
-		m.rejectedDrain++
-		m.mRejectedDrn.Inc()
-		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
-		return nil, ErrDraining
+		return nil, m.rejectDrainingLocked()
 	}
 	if cacheable {
 		// Re-check: an identical submission may have queued while the
@@ -651,6 +643,15 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	}
 	m.cfg.Events.Publish(job.ID, "job_admitted", map[string]any{"key": key, "base": baseJobID})
 	return job, nil
+}
+
+// rejectDrainingLocked counts and announces a submission refused because
+// the manager is draining, and returns ErrDraining; callers hold m.mu.
+func (m *Manager) rejectDrainingLocked() error {
+	m.rejectedDrain++
+	m.mRejectedDrn.Inc()
+	m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
+	return ErrDraining
 }
 
 // newJobLocked allocates and registers a job; callers hold m.mu.

@@ -376,6 +376,17 @@ func TestFingerprintNormalization(t *testing.T) {
 	}
 }
 
+// TestFingerprintBytes pins the design-key fingerprint of the default
+// options byte for byte: persisted result and route keys embed it, so
+// any change re-keys every stored artifact.
+func TestFingerprintBytes(t *testing.T) {
+	const want = "v3 mode=cpr engine= pinopt-v1 optimizer=lr lr=0,0,false,false,false,false ilp=0,0 " +
+		"route-v1 order=hpwl-asc iters=12 pres=2,1.6 hist=1 win=8,4,32 stall=3 skipdrc=false seq=0,0,0,0"
+	if got := Fingerprint(core.Options{}); got != want {
+		t.Errorf("Fingerprint(zero) = %q, want %q", got, want)
+	}
+}
+
 // TestSubmitBaseDispatchesRerun: a submission naming a finished base job
 // must execute through the Rerun path with the base's result, while a
 // baseless submission stays on Run.

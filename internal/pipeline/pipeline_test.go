@@ -11,6 +11,7 @@ import (
 	"cpr/internal/geom"
 	"cpr/internal/ilp"
 	"cpr/internal/lagrange"
+	"cpr/internal/router"
 	"cpr/internal/tech"
 )
 
@@ -135,6 +136,20 @@ func TestPanelHashStable(t *testing.T) {
 		if panelHash(t, a, p) != panelHash(t, b, p) {
 			t.Errorf("panel %d: identical designs hash differently", p)
 		}
+	}
+}
+
+// TestRouterFingerprintBytes pins the router half of every route and
+// design key byte for byte: persisted blockstores and peers address
+// artifacts by these bytes, so any change re-keys every stored route.
+func TestRouterFingerprintBytes(t *testing.T) {
+	const want = "route-v1 order=hpwl-asc iters=12 pres=2,1.6 hist=1 win=8,4,32 stall=3 skipdrc=false"
+	if got := RouterFingerprint(router.Config{}); got != want {
+		t.Errorf("RouterFingerprint(zero) = %q, want %q", got, want)
+	}
+	const want20 = "route-v1 order=hpwl-asc iters=20 pres=2,1.6 hist=1 win=8,4,32 stall=3 skipdrc=false"
+	if got := RouterFingerprint(router.Config{MaxNegotiationIters: 20}); got != want20 {
+		t.Errorf("RouterFingerprint(iters=20) = %q, want %q", got, want20)
 	}
 }
 

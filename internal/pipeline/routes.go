@@ -47,17 +47,16 @@ type RouteArtifact struct {
 // RouterFingerprint renders the result-affecting router configuration
 // into a canonical string, the second half of the per-region route key.
 // Workers is deliberately absent: the deterministic worker-pool contract
-// makes route bytes identical for every worker count.
+// makes route bytes identical for every worker count. The rest of the
+// literal spells out the router's fixed negotiation schedule (net order,
+// present/history costs, search windows, stall limit, DRC stage) in the
+// form keys have always carried, so persisted keys stay valid; a change
+// to that schedule must change the literal.
 //
 //keypurity:encoder stage
 func RouterFingerprint(cfg router.Config) string {
-	c := cfg.Normalized()
-	return fmt.Sprintf("route-v1 order=%s iters=%d pres=%s,%s hist=%s win=%d,%d,%d stall=%d skipdrc=%t",
-		c.Order, c.MaxNegotiationIters,
-		formatFloat(c.PresentCostBase), formatFloat(c.PresentCostGrowth),
-		formatFloat(c.HistoryIncrement),
-		c.WindowMargin, c.WindowGrowth, c.MaxWindowMargin,
-		c.StallRounds, c.SkipDRC)
+	return fmt.Sprintf("route-v1 order=hpwl-asc iters=%d pres=2,1.6 hist=1 win=8,4,32 stall=3 skipdrc=false",
+		cfg.Normalized().MaxNegotiationIters)
 }
 
 // WriteRegionInputs writes the canonical encoding of every input that can

@@ -131,7 +131,7 @@ func (s *shard) enforceLineEndRules() int {
 	// to detour). A net whose reroute fails keeps its old route and is
 	// not retried.
 	tried := make(map[int]bool)
-	margin := r.cfg.WindowMargin + r.cfg.WindowGrowth*(r.cfg.MaxNegotiationIters+1)
+	margin := r.drcRerouteMargin()
 	maxRounds := 2 * len(s.region.Nets)
 	if maxRounds > 200 {
 		maxRounds = 200
@@ -160,7 +160,7 @@ func (s *shard) enforceLineEndRules() int {
 		r.release(s.routes[pick])
 		s.routes[pick].Routed = false
 		s.avoid = buildAvoid(build())
-		rerouted := s.routeNet(pick, r.cfg.PresentCostBase, margin)
+		rerouted := s.routeNet(pick, presentCostBase, margin)
 		s.avoid = nil
 		if rerouted.Routed {
 			*s.routes[pick] = *rerouted

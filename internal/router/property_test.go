@@ -172,7 +172,7 @@ func TestSequentialInvariantsOnRandomDesigns(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		d := randomDesign(t, rng, 10+rng.Intn(20), 50, 20)
 		g := grid.New(d)
-		res := New(d, g, Config{}).RunSequential(SequentialConfig{})
+		res := New(d, g, Config{}).RunSequential()
 		used := make(map[grid.NodeID]int)
 		failed := 0
 		for netID, nr := range res.Routes {

@@ -46,14 +46,16 @@ type Plan struct {
 
 // maxSearchMargin is the widest window expansion any stage can apply to a
 // net's bounding box: negotiation rounds grow the margin up to
-// MaxWindowMargin, while the DRC reroute pass uses an uncapped
-// WindowMargin + WindowGrowth*(MaxNegotiationIters+1).
+// maxWindowMargin, while the DRC reroute pass uses the uncapped
+// drcRerouteMargin.
 func (r *Router) maxSearchMargin() int {
-	m := r.cfg.WindowMargin + r.cfg.WindowGrowth*(r.cfg.MaxNegotiationIters+1)
-	if r.cfg.MaxWindowMargin > m {
-		m = r.cfg.MaxWindowMargin
-	}
-	return m
+	return max(r.drcRerouteMargin(), maxWindowMargin)
+}
+
+// drcRerouteMargin is the search window margin of the line-end DRC
+// reroute pass: one round wider than the last negotiation round, uncapped.
+func (r *Router) drcRerouteMargin() int {
+	return windowMargin + windowGrowth*(r.cfg.MaxNegotiationIters+1)
 }
 
 // influenceMargin is the interaction radius of one net: the widest search

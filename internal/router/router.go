@@ -36,65 +36,36 @@ import (
 	"cpr/internal/telemetry"
 )
 
-// NetOrder selects the order nets are (re)routed in.
-type NetOrder int
-
+// The negotiation schedule (PathFinder, paper §4 after [21]) is fixed.
+// Every constant is part of every route key through the literal in
+// pipeline.RouterFingerprint: changing one must change that literal.
 const (
-	// OrderHPWLAsc routes short nets first (default; they have the least
-	// detour flexibility).
-	OrderHPWLAsc NetOrder = iota
-	// OrderHPWLDesc routes long nets first.
-	OrderHPWLDesc
-	// OrderByID routes nets in declaration order.
-	OrderByID
-	// OrderByPins routes high-fanout nets first.
-	OrderByPins
+	// defaultNegotiationIters bounds rip-up-and-reroute rounds when
+	// Config.MaxNegotiationIters is zero.
+	defaultNegotiationIters = 12
+	// presentCostBase is the congestion penalty factor in the first
+	// negotiation round; presentCostGrowth multiplies it each round.
+	presentCostBase   float64 = 2
+	presentCostGrowth float64 = 1.6
+	// historyIncrement is added to every overused node per round.
+	historyIncrement float64 = 1
+	// windowMargin is the base search window expansion around the net
+	// bounding box (shared with the sequential baseline); windowGrowth
+	// widens it per negotiation round up to maxWindowMargin.
+	windowMargin    = 8
+	windowGrowth    = 4
+	maxWindowMargin = 32
+	// stallRounds stops negotiation after this many rounds without
+	// overuse improvement; the residue is resolved by unrouting.
+	stallRounds = 3
 )
-
-func (o NetOrder) String() string {
-	switch o {
-	case OrderHPWLDesc:
-		return "hpwl-desc"
-	case OrderByID:
-		return "id"
-	case OrderByPins:
-		return "pins"
-	default:
-		return "hpwl-asc"
-	}
-}
 
 // Config tunes the negotiation router. Zero values take defaults.
 //
 //keypurity:options
 type Config struct {
-	// Order selects the net routing order (default OrderHPWLAsc).
-	Order NetOrder
-
 	// MaxNegotiationIters bounds rip-up-and-reroute rounds (default 12).
 	MaxNegotiationIters int
-	// PresentCostBase is the congestion penalty factor in the first
-	// negotiation round (default 2).
-	PresentCostBase float64
-	// PresentCostGrowth multiplies the penalty each round (default 1.6).
-	PresentCostGrowth float64
-	// HistoryIncrement is added to every overused node per round
-	// (default 1).
-	HistoryIncrement float64
-	// WindowMargin is the base search window expansion around the net
-	// bounding box (default 8).
-	WindowMargin int
-	// WindowGrowth widens the window per negotiation round (default 4).
-	WindowGrowth int
-	// MaxWindowMargin caps window growth (default 32).
-	MaxWindowMargin int
-	// StallRounds stops negotiation after this many rounds without
-	// overuse improvement; the residue is resolved by unrouting
-	// (default 3).
-	StallRounds int
-	// SkipDRC disables the line-end extension / design rule stage
-	// (used to measure raw negotiated routability).
-	SkipDRC bool
 
 	// Workers bounds how many regions route concurrently (0 selects
 	// GOMAXPROCS). The internal/parallel determinism contract holds:
@@ -107,38 +78,15 @@ type Config struct {
 	Workers int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxNegotiationIters == 0 {
-		c.MaxNegotiationIters = 12
-	}
-	if c.PresentCostBase == 0 {
-		c.PresentCostBase = 2
-	}
-	if c.PresentCostGrowth == 0 {
-		c.PresentCostGrowth = 1.6
-	}
-	if c.HistoryIncrement == 0 {
-		c.HistoryIncrement = 1
-	}
-	if c.WindowMargin == 0 {
-		c.WindowMargin = 8
-	}
-	if c.WindowGrowth == 0 {
-		c.WindowGrowth = 4
-	}
-	if c.MaxWindowMargin == 0 {
-		c.MaxWindowMargin = 32
-	}
-	if c.StallRounds == 0 {
-		c.StallRounds = 3
-	}
-	return c
-}
-
 // Normalized returns the configuration with defaults applied — the form
 // content-key fingerprints must be computed over, so that a zero config
 // and an explicitly-defaulted one address the same artifacts.
-func (c Config) Normalized() Config { return c.withDefaults() }
+func (c Config) Normalized() Config {
+	if c.MaxNegotiationIters == 0 {
+		c.MaxNegotiationIters = defaultNegotiationIters
+	}
+	return c
+}
 
 // NetRoute is the routing outcome for one net.
 type NetRoute struct {
@@ -270,7 +218,7 @@ type Router struct {
 
 // New creates a router over a validated design and its grid.
 func New(d *design.Design, g *grid.Graph, cfg Config) *Router {
-	return &Router{d: d, g: g, cfg: cfg.withDefaults(), seededNodes: make(map[int][]grid.NodeID)}
+	return &Router{d: d, g: g, cfg: cfg.Normalized(), seededNodes: make(map[int][]grid.NodeID)}
 }
 
 // SeedAssignment reserves the assigned pin access intervals on the grid as
@@ -522,7 +470,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			}
 			oc.warm++
 			if s.seedOcc {
-				initPres = s.cfg.PresentCostBase
+				initPres = presentCostBase
 			}
 		}
 	}
@@ -530,7 +478,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 		if s.routes[netID] != nil {
 			continue
 		}
-		nr := s.routeNet(netID, initPres, s.cfg.WindowMargin)
+		nr := s.routeNet(netID, initPres, windowMargin)
 		s.routes[netID] = nr
 		s.occupy(nr)
 	}
@@ -548,7 +496,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	em := telemetry.EmitterFrom(ctx)
 	negCtx, negSpan := telemetry.StartSpan(ctx, "route:negotiate")
 	negSpan.SetAttr("region", s.region.ID)
-	presFac := s.cfg.PresentCostBase
+	presFac := presentCostBase
 	bestOveruse := 1 << 30
 	stall := 0
 	for iter := 1; iter <= s.cfg.MaxNegotiationIters; iter++ {
@@ -561,7 +509,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			stall = 0
 		} else {
 			stall++
-			if stall >= s.cfg.StallRounds {
+			if stall >= stallRounds {
 				break
 			}
 		}
@@ -573,10 +521,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 		reg.Histogram("cpr_router_overused_nodes", "Overused grid nodes at the start of each negotiation round.",
 			telemetry.DefCountBuckets).Observe(float64(over))
 		s.chargeHistory()
-		margin := s.cfg.WindowMargin + s.cfg.WindowGrowth*iter
-		if margin > s.cfg.MaxWindowMargin {
-			margin = s.cfg.MaxWindowMargin
-		}
+		margin := min(windowMargin+windowGrowth*iter, maxWindowMargin)
 		ripups := 0
 		for _, netID := range order {
 			nr := s.routes[netID]
@@ -607,7 +552,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			"region": s.region.ID, "iter": iter, "overused": over, "ripups": ripups,
 		})
 		reg.Counter("cpr_router_ripups_total", "Nets ripped up and rerouted during negotiation.").Add(float64(ripups))
-		presFac *= s.cfg.PresentCostGrowth
+		presFac *= presentCostGrowth
 	}
 	negSpan.SetAttr("rounds", oc.summary.NegotiationIters)
 	negSpan.End()
@@ -622,9 +567,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	// Stage 4: line-end extension and design rule check.
 	_, drcSpan := telemetry.StartSpan(ctx, "route:drc")
 	drcSpan.SetAttr("region", s.region.ID)
-	if !s.cfg.SkipDRC {
-		oc.summary.DRCUnrouted = s.enforceLineEndRules()
-	}
+	oc.summary.DRCUnrouted = s.enforceLineEndRules()
 	drcSpan.SetAttr("unrouted", oc.summary.DRCUnrouted)
 	drcSpan.End()
 	return oc
@@ -705,34 +648,26 @@ func (s *shard) overusedCount() int {
 	return n
 }
 
-// netOrderOf returns the given nets in the configured routing order,
-// breaking ties by ID for determinism. The order of a net set depends
-// only on the member nets, never on the rest of the design.
+// netOrderOf returns the given nets in routing order: ascending HPWL
+// (short nets first — they have the least detour flexibility), ties by
+// ID for determinism. The order of a net set depends only on the member
+// nets, never on the rest of the design.
 func (r *Router) netOrderOf(nets []int) []int {
 	order := append([]int(nil), nets...)
-	key := make(map[int]int, len(nets))
+	hpwl := make(map[int]int, len(nets))
 	for _, netID := range nets {
-		switch r.cfg.Order {
-		case OrderHPWLDesc:
-			key[netID] = -r.d.HPWL(netID)
-		case OrderByID:
-			key[netID] = 0
-		case OrderByPins:
-			key[netID] = -len(r.d.Nets[netID].PinIDs)
-		default:
-			key[netID] = r.d.HPWL(netID)
-		}
+		hpwl[netID] = r.d.HPWL(netID)
 	}
 	sort.Slice(order, func(a, b int) bool {
-		if key[order[a]] != key[order[b]] {
-			return key[order[a]] < key[order[b]]
+		if hpwl[order[a]] != hpwl[order[b]] {
+			return hpwl[order[a]] < hpwl[order[b]]
 		}
 		return order[a] < order[b]
 	})
 	return order
 }
 
-// netOrder returns all net IDs in the configured routing order.
+// netOrder returns all net IDs in routing order.
 func (r *Router) netOrder() []int {
 	nets := make([]int, len(r.d.Nets))
 	for i := range nets {
@@ -958,12 +893,12 @@ func (s *shard) chargeHistory() {
 		}
 		for _, id := range nr.Nodes {
 			if s.g.Overused(id) {
-				s.g.AddHistory(id, s.cfg.HistoryIncrement)
+				s.g.AddHistory(id, historyIncrement)
 			}
 		}
 		for _, id := range nr.Virtual {
 			if s.g.Overused(id) {
-				s.g.AddHistory(id, s.cfg.HistoryIncrement)
+				s.g.AddHistory(id, historyIncrement)
 			}
 		}
 	}

@@ -163,7 +163,7 @@ func TestCongestionForcesNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New(d)
-	res := New(d, g, Config{SkipDRC: true}).Run()
+	res := New(d, g, Config{}).Run()
 	if res.InitialCongested == 0 {
 		t.Error("expected initial congestion when nets share the only corridor")
 	}
@@ -234,30 +234,6 @@ func TestLineEndSpacingViolationDropsNet(t *testing.T) {
 	}
 }
 
-func TestSkipDRCSkipsOnlyFinalCheck(t *testing.T) {
-	// SkipDRC disables the final rule check; line-end clearance cells
-	// still participate in negotiation, so the infeasible head-to-head
-	// pair resolves through congestion instead.
-	d := design.New("lineend2", 24, 10, tech.Default())
-	n0 := d.AddNet("a")
-	n1 := d.AddNet("b")
-	d.AddPin("a0", n0, geom.MakeRect(1, 4, 1, 4))
-	d.AddPin("a1", n0, geom.MakeRect(9, 4, 9, 4))
-	d.AddPin("b0", n1, geom.MakeRect(12, 4, 12, 4))
-	d.AddPin("b1", n1, geom.MakeRect(22, 4, 22, 4))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g := grid.New(d)
-	res := New(d, g, Config{SkipDRC: true}).Run()
-	if res.DRCUnrouted != 0 {
-		t.Errorf("SkipDRC ran the DRC stage: drcUnrouted %d", res.DRCUnrouted)
-	}
-	if res.RoutedNets+res.CongestionUnrouted != 2 {
-		t.Errorf("accounting: routed=%d congestion=%d", res.RoutedNets, res.CongestionUnrouted)
-	}
-}
-
 // TestRunsHelper: Segments merges one track's cells into maximal
 // consecutive runs in ascending order, and an empty route has no strips.
 func TestRunsHelper(t *testing.T) {
@@ -311,33 +287,12 @@ func TestNetOrderStrategies(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		order NetOrder
-		first int
-	}{
-		{OrderHPWLAsc, 1},  // short net first
-		{OrderHPWLDesc, 0}, // long net first
-		{OrderByID, 0},
-		{OrderByPins, 1}, // 3-pin net first
+	g := grid.New(d)
+	r := New(d, g, Config{})
+	if got := r.netOrder(); got[0] != 1 {
+		t.Errorf("first net %d, want 1 (short nets first)", got[0])
 	}
-	for _, c := range cases {
-		g := grid.New(d)
-		r := New(d, g, Config{Order: c.order})
-		got := r.netOrder()
-		if got[0] != c.first {
-			t.Errorf("%v: first net %d, want %d", c.order, got[0], c.first)
-		}
-		// Every strategy still routes everything on this easy design.
-		res := r.Run()
-		if res.RoutedNets != 2 {
-			t.Errorf("%v: routed %d/2", c.order, res.RoutedNets)
-		}
-	}
-}
-
-func TestNetOrderStrings(t *testing.T) {
-	if OrderHPWLAsc.String() != "hpwl-asc" || OrderHPWLDesc.String() != "hpwl-desc" ||
-		OrderByID.String() != "id" || OrderByPins.String() != "pins" {
-		t.Error("NetOrder strings wrong")
+	if res := r.Run(); res.RoutedNets != 2 {
+		t.Errorf("routed %d/2", res.RoutedNets)
 	}
 }

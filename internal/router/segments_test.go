@@ -84,7 +84,7 @@ func TestSegmentsMatchOracleOnRoutedDesigns(t *testing.T) {
 		g := grid.New(d)
 		results := map[string]*Result{
 			"negotiation": New(d, g, Config{}).Run(),
-			"sequential":  New(d, grid.New(d), Config{}).RunSequential(SequentialConfig{}),
+			"sequential":  New(d, grid.New(d), Config{}).RunSequential(),
 		}
 		for _, flow := range []string{"negotiation", "sequential"} {
 			res := results[flow]

@@ -8,39 +8,18 @@ import (
 	"cpr/internal/tech"
 )
 
-// SequentialConfig tunes the sequential pin-access-planning baseline
-// (the PARR-style router of reference [12] in the paper).
-//
-//keypurity:options
-type SequentialConfig struct {
-	// RetryRounds is the number of deferred-net retry passes (net
-	// deferring with dynamic reordering; default 3).
-	RetryRounds int
-	// WindowMargin is the base search window margin (default 8).
-	WindowMargin int
-	// MaxRipsPerNet bounds how many times a committed net may be ripped
-	// up to make room for a failing net (default 2).
-	MaxRipsPerNet int
-	// VictimsPerFailure bounds how many committed nets are ripped per
-	// failed net (default 4).
-	VictimsPerFailure int
-}
-
-func (c SequentialConfig) withDefaults() SequentialConfig {
-	if c.RetryRounds == 0 {
-		c.RetryRounds = 3
-	}
-	if c.WindowMargin == 0 {
-		c.WindowMargin = 8
-	}
-	if c.MaxRipsPerNet == 0 {
-		c.MaxRipsPerNet = 2
-	}
-	if c.VictimsPerFailure == 0 {
-		c.VictimsPerFailure = 4
-	}
-	return c
-}
+// The sequential baseline's fixed deferral and rip-up budget.
+const (
+	// seqRetryRounds is the number of deferred-net retry passes (net
+	// deferring with dynamic reordering).
+	seqRetryRounds = 3
+	// seqMaxRipsPerNet bounds how many times a committed net may be
+	// ripped up to make room for a failing net.
+	seqMaxRipsPerNet = 2
+	// seqVictimsPerFailure bounds how many committed nets are ripped per
+	// failed net.
+	seqVictimsPerFailure = 4
+)
 
 // RunSequential routes the design with the sequential pin access planning
 // scheme of [12]: nets are processed one at a time; each net greedily
@@ -50,8 +29,7 @@ func (c SequentialConfig) withDefaults() SequentialConfig {
 // during routing), and commits the result. Failed nets are deferred and
 // retried with wider windows. The output is design-rule-clean by
 // construction, mirroring the paper's description of [12].
-func (r *Router) RunSequential(cfg SequentialConfig) *Result {
-	cfg = cfg.withDefaults()
+func (r *Router) RunSequential() *Result {
 	res := &Result{Routes: make([]*NetRoute, len(r.d.Nets)), Regions: 1}
 	for i := range res.Routes {
 		res.Routes[i] = &NetRoute{NetID: i}
@@ -156,13 +134,14 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 		nr.Virtual = nil
 	}
 
-	// findVictims returns up to k committed nets with routing inside the
-	// failed net's expanded bounding box, most-overlapping first.
-	findVictims := func(netID, margin, k int, ripCount map[int]int) []int {
+	// findVictims returns up to seqVictimsPerFailure committed nets with
+	// routing inside the failed net's expanded bounding box,
+	// most-overlapping first.
+	findVictims := func(netID, margin int, ripCount map[int]int) []int {
 		box := r.d.NetBBox(netID).Expand(margin)
 		var cands []ripCand
 		for otherID, nr := range res.Routes {
-			if otherID == netID || !nr.Routed || ripCount[otherID] >= cfg.MaxRipsPerNet {
+			if otherID == netID || !nr.Routed || ripCount[otherID] >= seqMaxRipsPerNet {
 				continue
 			}
 			// Cheap reject: a net whose own expanded bbox misses the
@@ -183,7 +162,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 		}
 		sortCands(cands)
 		var victims []int
-		for i := 0; i < len(cands) && i < k; i++ {
+		for i := 0; i < len(cands) && i < seqVictimsPerFailure; i++ {
 			victims = append(victims, cands[i].net)
 		}
 		return victims
@@ -203,8 +182,8 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 
 	pending := r.netOrder()
 	ripCount := make(map[int]int)
-	margin := cfg.WindowMargin
-	for round := 0; round <= cfg.RetryRounds && len(pending) > 0; round++ {
+	margin := windowMargin
+	for round := 0; round <= seqRetryRounds && len(pending) > 0; round++ {
 		var deferred []int
 		for _, netID := range pending {
 			if tryRoute(netID, margin) {
@@ -216,7 +195,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 			}
 			// Rip up and reroute: evict the committed nets crowding the
 			// failed net's region, route it, then re-commit the victims.
-			victims := findVictims(netID, margin, cfg.VictimsPerFailure, ripCount)
+			victims := findVictims(netID, margin, ripCount)
 			if len(victims) == 0 {
 				deferred = append(deferred, netID)
 				continue

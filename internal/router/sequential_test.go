@@ -12,7 +12,7 @@ import (
 func TestSequentialRoutesSimpleNet(t *testing.T) {
 	d := twoPinDesign(t)
 	g := grid.New(d)
-	res := New(d, g, Config{}).RunSequential(SequentialConfig{})
+	res := New(d, g, Config{}).RunSequential()
 	if res.RoutedNets != 1 {
 		t.Fatalf("sequential routed %d/1: %+v", res.RoutedNets, res.Routes[0])
 	}
@@ -36,7 +36,7 @@ func TestSequentialCommitsAreHardBlockages(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New(d)
-	res := New(d, g, Config{}).RunSequential(SequentialConfig{})
+	res := New(d, g, Config{}).RunSequential()
 	if res.RoutedNets != 2 {
 		t.Fatalf("routed %d/2: %v / %v", res.RoutedNets,
 			res.Routes[0].FailReason, res.Routes[1].FailReason)
@@ -68,7 +68,7 @@ func TestSequentialIsLineEndClean(t *testing.T) {
 	}
 	g := grid.New(d)
 	r := New(d, g, Config{})
-	res := r.RunSequential(SequentialConfig{})
+	res := r.RunSequential()
 	// Verify rule cleanliness with the same checker the negotiated flow
 	// uses: zero nets must be dropped.
 	if dropped := r.wholeShard(res.Routes).enforceLineEndRules(); dropped != 0 {
@@ -94,7 +94,7 @@ func TestSequentialDefersAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New(d)
-	res := New(d, g, Config{}).RunSequential(SequentialConfig{})
+	res := New(d, g, Config{}).RunSequential()
 	if res.RoutedNets < 1 {
 		t.Errorf("routed %d, want >= 1", res.RoutedNets)
 	}

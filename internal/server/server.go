@@ -352,8 +352,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxGridCells bounds a submitted design's grid (width × height cells),
+// about 7× Table 2's largest circuit (top, 1540×1520). Synthesis and
+// routing allocate per grid cell, so a few bytes of request naming a
+// huge grid could otherwise exhaust the daemon's memory.
+const maxGridCells = 1 << 24
+
+// checkGridSize rejects a grid above maxGridCells. Each dimension is
+// bounded before the product is taken, so the product cannot overflow.
+func checkGridSize(w, h int) error {
+	if w > maxGridCells || h > maxGridCells || w*h > maxGridCells {
+		return fmt.Errorf("grid %dx%d exceeds the %d-cell limit", w, h, maxGridCells)
+	}
+	return nil
+}
+
 // buildDesign materializes the request's design: inline text or a
-// synthesized spec, exactly one of which must be present.
+// synthesized spec, exactly one of which must be present. Either way the
+// grid is checked against maxGridCells before anything sized by it is
+// allocated.
 func buildDesign(req *httpapi.SubmitRequest) (*design.Design, error) {
 	switch {
 	case req.Design != "" && req.Spec != nil:
@@ -362,6 +379,9 @@ func buildDesign(req *httpapi.SubmitRequest) (*design.Design, error) {
 		d, err := designio.Read(strings.NewReader(req.Design))
 		if err != nil {
 			return nil, fmt.Errorf("parsing design: %w", err)
+		}
+		if err := checkGridSize(d.Width, d.Height); err != nil {
+			return nil, err
 		}
 		return d, nil
 	case req.Spec != nil:
@@ -372,6 +392,9 @@ func buildDesign(req *httpapi.SubmitRequest) (*design.Design, error) {
 				return nil, err
 			}
 			return synth.Generate(spec)
+		}
+		if err := checkGridSize(ws.Width, ws.Height); err != nil {
+			return nil, err
 		}
 		return synth.Generate(synth.Spec{
 			Name:             ws.Name,

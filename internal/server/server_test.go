@@ -281,6 +281,45 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejected: a request naming a grid above maxGridCells
+// is a 400 before anything sized by the grid is allocated and before a
+// job is queued, on both the spec and the inline-design path. Without the
+// bound each request below would try to allocate ~10^10 grid cells.
+func TestOversizedGridRejected(t *testing.T) {
+	mgr, c := newTestServer(t, jobs.Config{MaxConcurrent: 1,
+		Run: func(ctx context.Context, d *design.Design, o core.Options) (*core.RunResult, error) {
+			t.Error("an oversized design reached the job runner")
+			return nil, errors.New("unreachable")
+		}})
+	ctx := context.Background()
+	for name, req := range map[string]client.SubmitRequest{
+		"spec":            {Spec: &client.Spec{Width: 100000, Height: 100000, Nets: 1}},
+		"spec one axis":   {Spec: &client.Spec{Width: maxGridCells + 1, Height: 1, Nets: 1}},
+		"spec overflow":   {Spec: &client.Spec{Width: 1 << 62, Height: 1 << 62, Nets: 1}},
+		"inline":          {Design: "cpr-design 1\ndesign x 100000 100000\n"},
+		"inline one axis": {Design: "cpr-design 1\ndesign x 1 16777217\n"},
+	} {
+		_, err := c.Submit(ctx, req)
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("%s: err = %v, want 400", name, err)
+		}
+	}
+	if st := mgr.Stats(); len(st.ByState) != 0 {
+		t.Errorf("jobs by state %v for oversized grids, want none", st.ByState)
+	}
+
+	// The bound admits every Table 2 circuit's extents.
+	for _, spec := range synth.TableSpecs() {
+		if err := checkGridSize(spec.Width, spec.Height); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+	if err := checkGridSize(1<<12, 1<<12); err != nil {
+		t.Errorf("grid at the bound rejected: %v", err)
+	}
+}
+
 func TestExpvarExposesCounters(t *testing.T) {
 	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(8, 0, 0, nil))
 	ts := httptest.NewServer(New(mgr).Handler())
