@@ -13,6 +13,7 @@ package cpr
 //	Benchmark<module>      — micro-benchmarks of the core kernels
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func BenchmarkFig6aLR(b *testing.B) {
 			m := benchModel(b, pins, 77)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lagrange.Solve(m, lagrange.Config{})
+				lagrange.Solve(context.Background(), m, lagrange.Config{})
 			}
 		})
 	}
@@ -122,7 +123,7 @@ func BenchmarkFig6aILP(b *testing.B) {
 func BenchmarkFig6bGap(b *testing.B) {
 	m := benchModel(b, 200, 77)
 	for i := 0; i < b.N; i++ {
-		lrRes := lagrange.Solve(m, lagrange.Config{})
+		lrRes := lagrange.Solve(context.Background(), m, lagrange.Config{})
 		ilpSol, _, err := m.SolveILP(ilp.Config{TimeLimit: time.Minute})
 		if err != nil {
 			b.Fatal(err)
@@ -195,7 +196,7 @@ func BenchmarkAblationProfitFn(b *testing.B) {
 			m := assign.Build(set, p.fn)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{})
+				res := lagrange.Solve(context.Background(), m, lagrange.Config{})
 				st := res.Solution.Lengths(m.Set)
 				b.ReportMetric(st.StdDev, "lenStdDev")
 				b.ReportMetric(float64(st.Total), "lenTotal")
@@ -214,7 +215,7 @@ func BenchmarkAblationTieBreak(b *testing.B) {
 			m := benchModel(b, 400, 92)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{DisableSameNetTieBreak: disable})
+				res := lagrange.Solve(context.Background(), m, lagrange.Config{DisableSameNetTieBreak: disable})
 				b.ReportMetric(res.Solution.Objective, "objective")
 			}
 		})
@@ -227,7 +228,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 			m := benchModel(b, 400, 93)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{Alpha: alpha})
+				res := lagrange.Solve(context.Background(), m, lagrange.Config{Alpha: alpha})
 				b.ReportMetric(float64(res.Iterations), "iterations")
 				b.ReportMetric(res.Solution.Objective, "objective")
 			}
@@ -245,7 +246,7 @@ func BenchmarkAblationPostImprove(b *testing.B) {
 			m := benchModel(b, 400, 94)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{SkipPostImprove: skip})
+				res := lagrange.Solve(context.Background(), m, lagrange.Config{SkipPostImprove: skip})
 				b.ReportMetric(res.Solution.Objective, "objective")
 			}
 		})
@@ -327,7 +328,7 @@ func BenchmarkLagrangeWorkers(b *testing.B) {
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{Workers: w})
+				res := lagrange.Solve(context.Background(), m, lagrange.Config{Workers: w})
 				b.ReportMetric(res.Solution.Objective, "objective")
 			}
 		})

@@ -43,7 +43,6 @@ func main() {
 		ruleEngine = cliutil.RuleEngine()
 		loadPath   = flag.String("load", "", "load the design from a cpr-design file (per-panel optimization)")
 		baseline   = cliutil.Baseline()
-		rerunMode  = cliutil.RerunMode()
 		tracePath  = cliutil.Trace()
 		traceFmt   = cliutil.TraceFormat()
 	)
@@ -51,12 +50,6 @@ func main() {
 
 	ctx, flushTrace, err := cliutil.StartTrace(context.Background(), *tracePath, *traceFmt)
 	if err != nil {
-		fatal(err)
-	}
-	// Pin optimization has no routing stage, so both rerun modes behave
-	// identically here; the flag is validated for script compatibility
-	// with cmd/cpr.
-	if _, err := core.ParseRerunMode(*rerunMode); err != nil {
 		fatal(err)
 	}
 
@@ -84,7 +77,7 @@ func main() {
 		model.NumPins(), model.NumIntervals(), len(model.Conflicts.Sets))
 
 	t0 := time.Now()
-	lr := lagrange.Solve(model, lagrange.Config{MaxIterations: *ub, Alpha: *alpha, Workers: parallel.Resolve(*workers)})
+	lr := lagrange.Solve(context.Background(), model, lagrange.Config{MaxIterations: *ub, Alpha: *alpha, Workers: parallel.Resolve(*workers)})
 	lrTime := time.Since(t0)
 	st := lr.Solution.Lengths(model.Set)
 	fmt.Printf("LR : objective %.1f, %d iterations, converged=%v, cpu %v\n",

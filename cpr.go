@@ -196,7 +196,9 @@ func BuildAssignmentModel(d *Design, pins []int) (*AssignmentModel, error) {
 }
 
 // SolveLR runs the Lagrangian relaxation solver on an assignment model.
-func SolveLR(m *AssignmentModel, cfg LRConfig) LRResult { return lagrange.Solve(m, cfg) }
+func SolveLR(m *AssignmentModel, cfg LRConfig) LRResult {
+	return lagrange.Solve(context.Background(), m, cfg)
+}
 
 // SolveILP runs the exact branch-and-bound solver on an assignment model.
 func SolveILP(m *AssignmentModel, cfg ILPConfig) (*AssignmentSolution, error) {

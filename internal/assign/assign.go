@@ -200,11 +200,7 @@ func (m *Model) BuildILP() *ilp.Problem {
 // started from the minimum-interval solution, and returns the resulting
 // assignment.
 func (m *Model) SolveILP(cfg ilp.Config) (*Solution, ilp.Result, error) {
-	if cfg.InitialSolution == nil {
-		min := m.MinimumSolution()
-		cfg.InitialSolution = min.Selected
-	}
-	res := ilp.Solve(m.BuildILP(), cfg)
+	res := ilp.Solve(m.BuildILP(), cfg, m.MinimumSolution().Selected)
 	if res.Status != ilp.Optimal && res.Status != ilp.Feasible {
 		return nil, res, fmt.Errorf("assign: ILP solve failed with status %v", res.Status)
 	}

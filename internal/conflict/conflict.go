@@ -48,20 +48,16 @@ func DetectWorkers(intervals []pinaccess.Interval, workers int) []Set {
 	}
 	sort.Ints(tracks)
 
-	if workers > 1 && len(tracks) >= parallel.Threshold {
-		shards := make([][]Set, len(tracks))
-		parallel.ForEach(workers, len(tracks), func(ti int) {
-			shards[ti] = detectTrack(intervals, byTrack[tracks[ti]], tracks[ti])
-		})
-		var out []Set
-		for _, shard := range shards {
-			out = append(out, shard...)
-		}
-		return out
+	if len(tracks) < parallel.Threshold {
+		workers = 1
 	}
+	shards := make([][]Set, len(tracks))
+	parallel.ForEach(workers, len(tracks), func(ti int) {
+		shards[ti] = detectTrack(intervals, byTrack[tracks[ti]], tracks[ti])
+	})
 	var out []Set
-	for _, t := range tracks {
-		out = append(out, detectTrack(intervals, byTrack[t], t)...)
+	for _, shard := range shards {
+		out = append(out, shard...)
 	}
 	return out
 }
@@ -132,15 +128,9 @@ type Matrix struct {
 	MemberOf [][]int
 }
 
-// BuildMatrix runs Detect and indexes membership for numIntervals
-// intervals.
-func BuildMatrix(intervals []pinaccess.Interval) *Matrix {
-	return BuildMatrixWorkers(intervals, 1)
-}
-
-// BuildMatrixWorkers is BuildMatrix with the sweep sharded across up to
-// workers goroutines. The membership index is derived serially from the
-// ordered set list, so it inherits the sweep's determinism.
+// BuildMatrixWorkers runs DetectWorkers and indexes every interval's
+// conflict-set membership. The membership index is derived serially
+// from the ordered set list, so it inherits the sweep's determinism.
 func BuildMatrixWorkers(intervals []pinaccess.Interval, workers int) *Matrix {
 	sets := DetectWorkers(intervals, workers)
 	m := &Matrix{Sets: sets, MemberOf: make([][]int, len(intervals))}

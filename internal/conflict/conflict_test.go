@@ -273,7 +273,7 @@ func TestBuildMatrixMembership(t *testing.T) {
 		geom.Interval{Lo: 0, Hi: 5},
 		geom.Interval{Lo: 3, Hi: 10},
 		geom.Interval{Lo: 6, Hi: 8})
-	m := BuildMatrix(ivs)
+	m := BuildMatrixWorkers(ivs, 1)
 	if len(m.Sets) != 2 {
 		t.Fatalf("sets = %d, want 2", len(m.Sets))
 	}
@@ -289,7 +289,7 @@ func TestViolations(t *testing.T) {
 		geom.Interval{Lo: 0, Hi: 5},
 		geom.Interval{Lo: 3, Hi: 10},
 		geom.Interval{Lo: 6, Hi: 8})
-	m := BuildMatrix(ivs)
+	m := BuildMatrixWorkers(ivs, 1)
 	if got := m.Violations([]bool{true, true, true}); got != 2 {
 		t.Errorf("Violations(all) = %d, want 2", got)
 	}
@@ -401,7 +401,7 @@ func TestDetectWorkersMatchesSequential(t *testing.T) {
 		if want := oracleDetect(ivs, 0, 70); !reflect.DeepEqual(seq, want) {
 			t.Fatalf("trial %d: sweep differs from oracle on the wide instance", trial)
 		}
-		seqM := BuildMatrix(ivs)
+		seqM := BuildMatrixWorkers(ivs, 1)
 		parM := BuildMatrixWorkers(ivs, 8)
 		if !reflect.DeepEqual(parM, seqM) {
 			t.Fatalf("trial %d: BuildMatrixWorkers(8) differs from sequential", trial)
@@ -413,8 +413,8 @@ func TestEmptyInput(t *testing.T) {
 	if sets := Detect(nil); len(sets) != 0 {
 		t.Error("Detect(nil) should be empty")
 	}
-	m := BuildMatrix(nil)
+	m := BuildMatrixWorkers(nil, 1)
 	if len(m.Sets) != 0 || m.Violations(nil) != 0 {
-		t.Error("BuildMatrix(nil) should be empty")
+		t.Error("BuildMatrixWorkers(nil, 1) should be empty")
 	}
 }

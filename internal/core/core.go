@@ -64,6 +64,20 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode parses "cpr", "nopinopt" or "sequential"; "" is ModeCPR.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "cpr":
+		return ModeCPR, nil
+	case "nopinopt":
+		return ModeNoPinOpt, nil
+	case "sequential":
+		return ModeSequential, nil
+	default:
+		return ModeCPR, fmt.Errorf("unknown mode %q (want cpr, nopinopt, sequential)", s)
+	}
+}
+
 // RerunMode selects how much of a previous run an incremental Rerun may
 // reuse for routing (pin access artifacts are always spliced by content
 // key — that reuse is exact by construction).
@@ -120,8 +134,23 @@ func (o Optimizer) String() string {
 	return "lr"
 }
 
+// ParseOptimizer parses "lr" or "ilp"; "" is OptLR.
+func ParseOptimizer(s string) (Optimizer, error) {
+	switch s {
+	case "", "lr":
+		return OptLR, nil
+	case "ilp":
+		return OptILP, nil
+	default:
+		return OptLR, fmt.Errorf("unknown optimizer %q (want lr, ilp)", s)
+	}
+}
+
 // Options configures a run. Zero values give the paper's defaults
-// (ModeCPR with LR optimization).
+// (ModeCPR with LR optimization). Every result-affecting field is a plain
+// value, so jobs.Fingerprint can encode it; the interval profit is always
+// the paper's √length (assign.SqrtProfit) and the ILP always warm-starts
+// from the minimum-interval solution.
 //
 //keypurity:options
 type Options struct {
@@ -130,13 +159,6 @@ type Options struct {
 	LR        lagrange.Config
 	ILP       ilp.Config
 	Router    router.Config
-	// Profit is the interval profit function (default assign.SqrtProfit).
-	// With more than one worker it must be safe for concurrent calls (the
-	// built-in profit functions are pure). A custom function makes panel
-	// artifacts uncacheable (function identity cannot be
-	// content-addressed), so Rerun and PanelCache degrade to full
-	// recomputation.
-	Profit assign.ProfitFn
 	// Workers bounds the concurrency of the whole optimization pipeline:
 	// panel subproblems run on a shared pool, and spare capacity flows
 	// into the per-track interval generation, the per-track conflict
@@ -198,7 +220,6 @@ func solverConfig(o Options) pipeline.SolverConfig {
 		UseILP: o.Optimizer == OptILP,
 		ILP:    o.ILP,
 		LR:     o.LR,
-		Profit: o.Profit,
 	}
 }
 

@@ -267,3 +267,34 @@ func TestParallelPinOptMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	cases := map[string]Mode{
+		"":           ModeCPR,
+		"cpr":        ModeCPR,
+		"nopinopt":   ModeNoPinOpt,
+		"sequential": ModeSequential,
+	}
+	for in, want := range cases {
+		got, err := ParseMode(in)
+		if err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseMode("warp"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
+func TestParseOptimizer(t *testing.T) {
+	cases := map[string]Optimizer{"": OptLR, "lr": OptLR, "ilp": OptILP}
+	for in, want := range cases {
+		got, err := ParseOptimizer(in)
+		if err != nil || got != want {
+			t.Errorf("ParseOptimizer(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseOptimizer("sat"); err == nil {
+		t.Error("ParseOptimizer accepted an unknown optimizer")
+	}
+}

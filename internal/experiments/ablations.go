@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,7 +39,7 @@ func AblationProfit(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		res := lagrange.Solve(model, lagrange.Config{})
+		res := lagrange.Solve(context.Background(), model, lagrange.Config{})
 		st := res.Solution.Lengths(model.Set)
 		fmt.Fprintf(w, "%-8s %10d %10.2f %10.2f %10d\n", p.name, st.Total, st.Mean, st.StdDev, st.Min)
 	}
@@ -77,7 +78,7 @@ func AblationTieBreak(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "%-12s %12s %12s %12s\n", "tie-break", "objective", "iterations", "converged")
 	for _, tb := range []bool{true, false} {
-		res := lagrange.Solve(model, lagrange.Config{DisableSameNetTieBreak: !tb})
+		res := lagrange.Solve(context.Background(), model, lagrange.Config{DisableSameNetTieBreak: !tb})
 		fmt.Fprintf(w, "%-12v %12.1f %12d %12v\n", tb, res.Solution.Objective, res.Iterations, res.Converged)
 	}
 	return nil
@@ -101,7 +102,7 @@ func AblationAlpha(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "%-8s %12s %12s %14s %12s\n", "alpha", "objective", "iterations", "bestViolations", "converged")
 	for _, alpha := range []float64{0.5, 0.8, 0.95, 1.0} {
-		res := lagrange.Solve(model, lagrange.Config{Alpha: alpha})
+		res := lagrange.Solve(context.Background(), model, lagrange.Config{Alpha: alpha})
 		fmt.Fprintf(w, "%-8.2f %12.1f %12d %14d %12v\n",
 			alpha, res.Solution.Objective, res.Iterations, res.BestViolations, res.Converged)
 	}
@@ -126,7 +127,7 @@ func AblationRefinement(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "%-14s %12s %12s %12s\n", "refinement", "objective", "violations", "shrunkPins")
 	for _, skip := range []bool{false, true} {
-		res := lagrange.Solve(model, lagrange.Config{SkipRefinement: skip, MaxIterations: 20})
+		res := lagrange.Solve(context.Background(), model, lagrange.Config{SkipRefinement: skip, MaxIterations: 20})
 		fmt.Fprintf(w, "%-14v %12.1f %12d %12d\n",
 			!skip, res.Solution.Objective, res.Solution.Violations, res.ShrunkPins)
 	}
@@ -155,7 +156,7 @@ func AblationSubgradient(w io.Writer, cfg Config) error {
 		if full {
 			name = "full-subgradient"
 		}
-		res := lagrange.Solve(model, lagrange.Config{FullSubgradient: full})
+		res := lagrange.Solve(context.Background(), model, lagrange.Config{FullSubgradient: full})
 		fmt.Fprintf(w, "%-18s %12.1f %12d %14d\n",
 			name, res.Solution.Objective, res.Iterations, res.BestViolations)
 	}

@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -161,7 +162,7 @@ func Fig6(w io.Writer, cfg Config) ([]Fig6Point, error) {
 		pt := Fig6Point{Pins: model.NumPins()}
 
 		t0 := time.Now()
-		lrRes := lagrange.Solve(model, lagrange.Config{Workers: cfg.Workers})
+		lrRes := lagrange.Solve(context.Background(), model, lagrange.Config{Workers: cfg.Workers})
 		pt.LRSeconds = time.Since(t0).Seconds()
 		pt.LRObjective = lrRes.Solution.Objective
 

@@ -131,11 +131,6 @@ func (g *Graph) Coords(id NodeID) (x, y, z int) {
 	return rem % g.W, rem / g.W, z
 }
 
-// InBounds reports whether (x, y) lies on the grid.
-func (g *Graph) InBounds(x, y int) bool {
-	return x >= 0 && x < g.W && y >= 0 && y < g.H
-}
-
 // NumNodes returns the total node count.
 func (g *Graph) NumNodes() int { return len(g.blocked) }
 
@@ -243,17 +238,6 @@ func (g *Graph) AddHistory(id NodeID, inc float64) { g.hist[id] += float32(inc) 
 // History returns the accumulated history cost of a node.
 func (g *Graph) History(id NodeID) float64 { return float64(g.hist[id]) }
 
-// ResetCongestion clears occupancy and history (not ownership/blockage).
-func (g *Graph) ResetCongestion() {
-	for i := range g.occ {
-		g.occ[i] = 0
-		g.occMetal[i] = 0
-	}
-	for i := range g.hist {
-		g.hist[i] = 0
-	}
-}
-
 // ViaCost returns the rule engine's cost of the via edge between layers
 // z and z+1 at (x, y), applying the forbidden grid cost where flagged.
 func (g *Graph) ViaCost(x, y, zLow int) int {
@@ -262,12 +246,6 @@ func (g *Graph) ViaCost(x, y, zLow int) int {
 
 // Rules returns the technology rule engine the grid was built with.
 func (g *Graph) Rules() tech.RuleEngine { return g.rules }
-
-// ForbiddenVia reports whether the via at (x, y) between zLow and zLow+1
-// carries the forbidden cost.
-func (g *Graph) ForbiddenVia(x, y, zLow int) bool {
-	return g.forbiddenVia[zLow][y*g.W+x]
-}
 
 // Edge is one grid edge of a routed net: either a wire step on M2/M3 or a
 // via between adjacent layers. From < To always holds (edges are
@@ -289,16 +267,4 @@ func (g *Graph) IsVia(e Edge) bool {
 	_, _, z1 := g.Coords(e.From)
 	_, _, z2 := g.Coords(e.To)
 	return z1 != z2
-}
-
-// CongestedByLayer returns the metal-congested node count per layer
-// (diagnostic for congestion analyses).
-func (g *Graph) CongestedByLayer() [tech.NumLayers]int {
-	var out [tech.NumLayers]int
-	for i, c := range g.occMetal {
-		if c > 1 {
-			out[i/g.planeSize]++
-		}
-	}
-	return out
 }

@@ -136,22 +136,13 @@ func TestHistory(t *testing.T) {
 	if got := g.History(n); got < 2.49 || got > 2.51 {
 		t.Errorf("history = %g, want 2.5", got)
 	}
-	g.ResetCongestion()
-	if g.History(n) != 0 {
-		t.Error("ResetCongestion must clear history")
-	}
 }
 
 func TestForbiddenViaNearBlockage(t *testing.T) {
 	g := New(testDesign(t))
 	// Blockage on M2 at x [10,11], y [5,6]. V1 at (9,5) has blocked
-	// neighbour (10,5) on M2 -> forbidden.
-	if !g.ForbiddenVia(9, 5, 0) {
-		t.Error("V1 adjacent to M2 blockage should be forbidden")
-	}
-	if g.ForbiddenVia(5, 5, 0) {
-		t.Error("V1 far from blockages should be normal cost")
-	}
+	// neighbour (10,5) on M2 -> forbidden; V1 at (5,5) is far from
+	// blockages -> normal cost.
 	if g.ViaCost(9, 5, 0) != tech.Default().ForbiddenViaCost {
 		t.Errorf("ViaCost = %d, want forbidden cost", g.ViaCost(9, 5, 0))
 	}
@@ -177,16 +168,6 @@ func TestEdgeCanonicalAndVia(t *testing.T) {
 	}
 }
 
-func TestInBounds(t *testing.T) {
-	g := New(testDesign(t))
-	if !g.InBounds(0, 0) || !g.InBounds(11, 9) {
-		t.Error("corners must be in bounds")
-	}
-	if g.InBounds(-1, 0) || g.InBounds(12, 0) || g.InBounds(0, 10) {
-		t.Error("out-of-range coordinates accepted")
-	}
-}
-
 func TestCongestedByLayer(t *testing.T) {
 	g := New(testDesign(t))
 	m2 := g.ID(5, 5, tech.M2)
@@ -196,10 +177,6 @@ func TestCongestedByLayer(t *testing.T) {
 	g.Occupy(m3)
 	g.Occupy(m3)
 	g.Occupy(m3)
-	by := g.CongestedByLayer()
-	if by[tech.M1] != 0 || by[tech.M2] != 1 || by[tech.M3] != 1 {
-		t.Errorf("CongestedByLayer = %v, want [0 1 1]", by)
-	}
 	if g.CongestedCount() != 2 {
 		t.Errorf("CongestedCount = %d, want 2", g.CongestedCount())
 	}

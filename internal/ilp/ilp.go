@@ -74,9 +74,6 @@ type Config struct {
 	MaxNodes int
 	// TimeLimit caps wall-clock time (0 = no cap).
 	TimeLimit time.Duration
-	// InitialSolution optionally warm-starts the incumbent. It must be
-	// feasible; infeasible warm starts are ignored.
-	InitialSolution []bool
 }
 
 // Result is the outcome of Solve.
@@ -92,17 +89,18 @@ type Result struct {
 
 const intTol = 1e-6
 
-// Solve runs best-effort exact branch and bound on the problem.
-func Solve(p *Problem, cfg Config) Result {
+// Solve runs best-effort exact branch and bound on the problem. A
+// feasible warm start of length p.NumVars seeds the incumbent; a nil or
+// infeasible one is ignored.
+func Solve(p *Problem, cfg Config, warm []bool) Result {
 	s := &solver{p: p, cfg: cfg, incumbentObj: math.Inf(-1)}
 	if cfg.TimeLimit > 0 {
 		//cprlint:keypurity deadline arming for TimeLimit enforcement; TimeLimit>0 configs are excluded from content addressing (SolverConfig.Cacheable)
 		s.deadline = time.Now().Add(cfg.TimeLimit)
 	}
-	if cfg.InitialSolution != nil && len(cfg.InitialSolution) == p.NumVars &&
-		feasible(p, cfg.InitialSolution) {
-		s.incumbent = append([]bool(nil), cfg.InitialSolution...)
-		s.incumbentObj = objectiveOf(p, cfg.InitialSolution)
+	if warm != nil && len(warm) == p.NumVars && feasible(p, warm) {
+		s.incumbent = append([]bool(nil), warm...)
+		s.incumbentObj = objectiveOf(p, warm)
 	}
 
 	root := make([]int8, p.NumVars)

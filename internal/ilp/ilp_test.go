@@ -36,7 +36,7 @@ func TestKnapsack(t *testing.T) {
 	p.Objective = []float64{10, 6, 4}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}}, lp.LE, 2)
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 5}, {Var: 1, Coef: 4}, {Var: 2, Coef: 3}}, lp.LE, 8)
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -58,7 +58,7 @@ func TestAssignmentShapedILP(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.EQ, 1)
 	p.AddConstraint([]lp.Term{{Var: 2, Coef: 1}, {Var: 3, Coef: 1}}, lp.EQ, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 2, Coef: 1}}, lp.LE, 1)
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -73,7 +73,7 @@ func TestInfeasibleILP(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.EQ, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}}, lp.EQ, 1)
 	p.AddConstraint([]lp.Term{{Var: 1, Coef: 1}}, lp.EQ, 1)
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
 	}
@@ -84,7 +84,7 @@ func TestWarmStart(t *testing.T) {
 	p.Objective = []float64{2, 1}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 1)
 	warm := []bool{false, true}
-	res := Solve(p, Config{InitialSolution: warm})
+	res := Solve(p, Config{}, warm)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -97,7 +97,7 @@ func TestInfeasibleWarmStartIgnored(t *testing.T) {
 	p := NewProblem(2)
 	p.Objective = []float64{1, 1}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 1)
-	res := Solve(p, Config{InitialSolution: []bool{true, true}}) // violates constraint
+	res := Solve(p, Config{}, []bool{true, true}) // violates constraint
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -110,7 +110,7 @@ func TestNodeLimit(t *testing.T) {
 	p := NewProblem(2)
 	p.Objective = []float64{1, 1}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 1)
-	res := Solve(p, Config{MaxNodes: 1})
+	res := Solve(p, Config{MaxNodes: 1}, nil)
 	if res.Status != Feasible && res.Status != Limit && res.Status != Optimal {
 		t.Fatalf("unexpected status %v", res.Status)
 	}
@@ -130,7 +130,7 @@ func TestTimeLimit(t *testing.T) {
 			p.AddConstraint([]lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, lp.LE, 1)
 		}
 	}
-	res := Solve(p, Config{TimeLimit: time.Nanosecond})
+	res := Solve(p, Config{TimeLimit: time.Nanosecond}, nil)
 	if res.Status != Limit && res.Status != Feasible {
 		t.Fatalf("status = %v, want a limit status", res.Status)
 	}
@@ -138,7 +138,7 @@ func TestTimeLimit(t *testing.T) {
 
 func TestEmptyProblem(t *testing.T) {
 	p := NewProblem(0)
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Optimal || res.Objective != 0 {
 		t.Fatalf("empty: %+v", res)
 	}
@@ -148,7 +148,7 @@ func TestAllVarsFree(t *testing.T) {
 	// No constraints: optimum picks every positive-profit variable.
 	p := NewProblem(4)
 	p.Objective = []float64{3, -2, 0, 5}
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -193,7 +193,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			}
 			p.AddConstraint([]lp.Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}}, lp.LE, 1)
 		}
-		res := Solve(p, Config{})
+		res := Solve(p, Config{}, nil)
 		want, found := bruteForce(p)
 		if !found {
 			if res.Status != Infeasible {
@@ -217,7 +217,7 @@ func TestRootBoundDominatesOptimum(t *testing.T) {
 	p := NewProblem(3)
 	p.Objective = []float64{4, 3, 2}
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}, {Var: 2, Coef: 1}}, lp.LE, 2)
-	res := Solve(p, Config{})
+	res := Solve(p, Config{}, nil)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -241,7 +241,7 @@ func TestDeadlinePropagatesToLP(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 1)
 	p.AddConstraint([]lp.Term{{Var: 2, Coef: 1}, {Var: 3, Coef: 1}}, lp.LE, 1)
 	warm := []bool{false, true, false, true}
-	res := Solve(p, Config{TimeLimit: time.Nanosecond, InitialSolution: warm})
+	res := Solve(p, Config{TimeLimit: time.Nanosecond}, warm)
 	if res.Status != Feasible && res.Status != Limit && res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}

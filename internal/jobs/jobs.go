@@ -195,7 +195,7 @@ type Job struct {
 	ID string
 	// Key is the content address of the request (cache.Key of the
 	// design hash and options fingerprint); empty for uncacheable
-	// requests (custom profit functions).
+	// requests (time-limited ILP, eco-fast reruns).
 	Key string
 	// BaseJobID is the finished job this one reruns incrementally
 	// against; empty for cold submissions. A base never changes the
@@ -302,12 +302,12 @@ func (j *Job) Wait(ctx context.Context) error {
 // byte-identical for every worker count. The solver and router halves
 // are delegated to the pipeline's own fingerprint encoders through the
 // same Options mapping a run uses (Options.SolverConfig), so the design
-// key can never drift from the fields the pipeline actually consumes;
-// non-addressable inputs (a custom Profit, an LR Stop hook) surface as
-// sentinels, and Submit refuses to cache under them. The rule-engine
-// override is encoded directly, so two submissions of one design under
-// different engines can never share a key (a design-borne engine is
-// already part of the design hash via its designio record).
+// key can never drift from the fields the pipeline actually consumes.
+// Every option is a plain value, so the fingerprint is a pure function
+// of values. The rule-engine override is encoded directly, so two
+// submissions of one design under different engines can never share a
+// key (a design-borne engine is already part of the design hash via its
+// designio record).
 //
 //keypurity:encoder design
 func Fingerprint(o core.Options) string {
@@ -547,8 +547,8 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 
 	fp := Fingerprint(opts)
 	// Design-level cacheability follows the pipeline's own rule
-	// (SolverConfig.Cacheable: custom Profit, LR Stop hooks, and
-	// time-limited ILP are not content-addressable) plus one job-layer
+	// (SolverConfig.Cacheable: time-limited ILP is not
+	// content-addressable) plus one job-layer
 	// exclusion: eco-fast rerun results are objective-equal but not
 	// byte-identical to a cold run, so they must never answer a cold key.
 	cacheable := opts.SolverConfig().Cacheable() &&
@@ -742,14 +742,12 @@ func (m *Manager) execute(job *Job) {
 		return
 	}
 
-	// The panel and route caches are wired for content-addressable jobs
-	// only: a custom profit function makes panel artifacts unaddressable
-	// (the profit is part of their inputs), and route keys are derived
-	// from them downstream. Eco-fast jobs (Key == "" with a base) still
-	// get both read-side caches — their own divergent artifacts carry no
-	// keys, so they can never poison either level.
+	// Every job gets both artifact caches, and none can poison them: an
+	// uncacheable solver config yields keyless panel artifacts, route
+	// keys cover the seeds they route, and eco-fast jobs' divergent
+	// artifacts carry no keys.
 	opts := job.opts
-	if opts.Profit == nil && m.cache != nil {
+	if m.cache != nil {
 		opts.PanelCache = m.cache.Panel
 		opts.RouteCache = m.cache.Route
 	}

@@ -1,6 +1,7 @@
 package lagrange
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,7 +93,7 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 	lambda := make([]float64, 1)
 	penalties := make([]float64, 2)
 	selected := []bool{true, true}
-	vio := penalize(m, selected, lambda, penalties, 1, Config{}.withDefaults())
+	vio := penalize(m, selected, lambda, penalties, 1, Config{}.withDefaults(), 1, make([]float64, 1), make([]int, 1))
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -104,7 +105,7 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 		t.Errorf("penalties = %v, want both equal to lambda", penalties)
 	}
 	// Second iteration: step shrinks by k^alpha.
-	vio = penalize(m, selected, lambda, penalties, 2, Config{}.withDefaults())
+	vio = penalize(m, selected, lambda, penalties, 2, Config{}.withDefaults(), 1, make([]float64, 1), make([]int, 1))
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -122,7 +123,7 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	lambda := []float64{5}
 	penalties := []float64{5, 5}
 	selected := []bool{true, false} // satisfied
-	if vio := penalize(m, selected, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
+	if vio := penalize(m, selected, lambda, penalties, 3, Config{}.withDefaults(), 1, make([]float64, 1), make([]int, 1)); vio != 0 {
 		t.Errorf("vio = %d, want 0", vio)
 	}
 	if lambda[0] != 5 {
@@ -132,7 +133,7 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	// one selected: 1-1=0 -> unchanged; deselect both for -1).
 	selected = []bool{false, false}
 	cfg := Config{FullSubgradient: true}.withDefaults()
-	penalize(m, selected, lambda, penalties, 3, cfg)
+	penalize(m, selected, lambda, penalties, 3, cfg, 1, make([]float64, 1), make([]int, 1))
 	if lambda[0] >= 5 {
 		t.Errorf("full subgradient should decrease lambda, got %g", lambda[0])
 	}
@@ -146,8 +147,8 @@ func TestPostImprovePreservesLegality(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		d := randomPanel(t, rng, 16+rng.Intn(16), 4+rng.Intn(16))
 		m := buildModel(t, d)
-		base := Solve(m, Config{SkipPostImprove: true})
-		improved := Solve(m, Config{})
+		base := Solve(context.Background(), m, Config{SkipPostImprove: true})
+		improved := Solve(context.Background(), m, Config{})
 		if err := m.CheckLegal(improved.Solution); err != nil {
 			t.Fatalf("trial %d: post-improve broke legality: %v", trial, err)
 		}

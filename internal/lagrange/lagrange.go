@@ -19,6 +19,7 @@
 package lagrange
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -27,6 +28,8 @@ import (
 )
 
 // Config tunes the LR solver. Zero values take the paper's defaults.
+// Every result-affecting field is a plain value; cancellation arrives
+// through Solve's context instead.
 //
 //keypurity:options
 type Config struct {
@@ -59,13 +62,6 @@ type Config struct {
 	//
 	//keypurity:exempt execution parallelism; the internal/parallel determinism contract makes results byte-identical for every worker count
 	Workers int
-	// Stop is polled between subgradient iterations; when it reports
-	// true the loop exits early with the best selection seen so far
-	// (refinement still runs so the returned solution stays legal).
-	// A nil Stop — or one that never fires — leaves the iteration
-	// trajectory untouched, so results remain byte-identical to a run
-	// without it.
-	Stop func() bool
 	// Observer, when non-nil, receives one IterationStat per subgradient
 	// iteration — the convergence series behind trace spans and the
 	// Figure 6 style ablation plots. It is strictly observational: the
@@ -125,8 +121,13 @@ type Result struct {
 	ImprovedPins int
 }
 
-// Solve runs Algorithm 2 on the model.
-func Solve(m *assign.Model, cfg Config) Result {
+// Solve runs Algorithm 2 on the model. ctx is polled between subgradient
+// iterations; once it is done the loop exits early with the best
+// selection seen so far (refinement still runs so the returned solution
+// stays legal). A context that never fires leaves the iteration
+// trajectory untouched, so results are byte-identical to an
+// uncancellable run.
+func Solve(ctx context.Context, m *assign.Model, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	n := m.NumIntervals()
 
@@ -145,18 +146,14 @@ func Solve(m *assign.Model, cfg Config) Result {
 	// the per-conflict-set multiplier updates are independent subproblems;
 	// scratch slots carry their results into an ordered merge.
 	gainWorkers, setWorkers := iterationWorkers(cfg, n, len(lambda))
-	var setDeltas []float64
-	var setCounts []int
-	if setWorkers > 1 {
-		setDeltas = make([]float64, len(lambda))
-		setCounts = make([]int, len(lambda))
-	}
+	setDeltas := make([]float64, len(lambda))
+	setCounts := make([]int, len(lambda))
 
 	var best []bool
 	minVio := math.MaxInt
 	iters := 0
 	for k := 1; k <= cfg.MaxIterations && minVio > 0; k++ {
-		if cfg.Stop != nil && cfg.Stop() {
+		if ctx.Err() != nil {
 			break
 		}
 		iters = k
@@ -181,12 +178,7 @@ func Solve(m *assign.Model, cfg Config) Result {
 				}
 			}
 		}
-		var vio int
-		if setWorkers > 1 {
-			vio = penalizeParallel(m, selected, lambda, penalties, k, cfg, setWorkers, setDeltas, setCounts)
-		} else {
-			vio = penalize(m, selected, lambda, penalties, k, cfg)
-		}
+		vio := penalize(m, selected, lambda, penalties, k, cfg, setWorkers, setDeltas, setCounts)
 		if vio < minVio {
 			minVio = vio
 			best = append(best[:0], selected...)
@@ -335,44 +327,6 @@ func maxGains(m *assign.Model, gains []float64, order []int, selected []bool, cf
 	}
 }
 
-// penalize implements Algorithm 1's multiplier update: for every violated
-// conflict set, move lambda_m along the subgradient with step
-// t_k = L_m / k^alpha, and propagate the change into per-interval
-// penalties. Returns the violation count.
-func penalize(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config) int {
-	vio := 0
-	kAlpha := math.Pow(float64(k), cfg.Alpha)
-	for si := range m.Conflicts.Sets {
-		cs := &m.Conflicts.Sets[si]
-		count := 0
-		for _, id := range cs.IDs {
-			if selected[id] {
-				count++
-			}
-		}
-		violated := count > 1
-		if violated {
-			vio++
-		}
-		if !violated && !cfg.FullSubgradient {
-			continue
-		}
-		lm := float64(cs.Common.Len())
-		tk := lm / kAlpha
-		next := lambda[si] + tk*float64(count-1)
-		if next < 0 {
-			next = 0
-		}
-		if delta := next - lambda[si]; delta != 0 {
-			lambda[si] = next
-			for _, id := range cs.IDs {
-				penalties[id] += delta
-			}
-		}
-	}
-	return vio
-}
-
 // iterationWorkers decides, per stage, whether the per-iteration work is
 // big enough to amortize a fork-join. The cutover depends only on problem
 // sizes, never on timing, so the choice — and with it the exact execution —
@@ -393,13 +347,19 @@ func iterationWorkers(cfg Config, numIntervals, numSets int) (gainWorkers, setWo
 	return
 }
 
-// penalizeParallel is penalize with the per-conflict-set subproblems run
-// concurrently. Each set owns its lambda slot and writes its penalty delta
-// and selection count to scratch; the deltas are then folded into the
-// shared per-interval penalties serially in set index order — the same
-// floating point accumulation order as the sequential path, so the
-// multiplier trajectory is byte-identical for every worker count.
-func penalizeParallel(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config, workers int, deltas []float64, counts []int) int {
+// penalize implements Algorithm 1's multiplier update: for every violated
+// conflict set, move lambda_m along the subgradient with step
+// t_k = L_m / k^alpha, and propagate the change into per-interval
+// penalties. Returns the violation count.
+//
+// The per-conflict-set subproblems run on up to workers goroutines. Each
+// set owns its lambda slot and writes its penalty delta and selection
+// count to scratch (deltas and counts, one slot per set); the deltas are
+// then folded into the shared per-interval penalties serially in set
+// index order, so every floating point accumulation happens in the same
+// order and the multiplier trajectory is byte-identical for every worker
+// count.
+func penalize(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config, workers int, deltas []float64, counts []int) int {
 	kAlpha := math.Pow(float64(k), cfg.Alpha)
 	sets := m.Conflicts.Sets
 	parallel.ForEachChunk(workers, len(sets), func(lo, hi int) {

@@ -1,6 +1,7 @@
 package lagrange
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -77,7 +78,7 @@ func randomPanel(t testing.TB, rng *rand.Rand, width, nPins int) *design.Design 
 
 func TestLRLegalOnContestedDesign(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{})
+	res := Solve(context.Background(), m, Config{})
 	if res.Solution.Violations != 0 {
 		t.Fatalf("LR solution has %d violations", res.Solution.Violations)
 	}
@@ -93,7 +94,7 @@ func TestLRLegalOnContestedDesign(t *testing.T) {
 
 func TestLRNeverExceedsILP(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	lrRes := Solve(m, Config{})
+	lrRes := Solve(context.Background(), m, Config{})
 	ilpSol, _, err := m.SolveILP(ilp.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestLRConvergesWithoutConflicts(t *testing.T) {
 		d.AddPin(fmt.Sprintf("p%d", i), n, geom.MakeRect(10*i+2, 3*i, 10*i+2, 3*i))
 	}
 	m := buildModel(t, d)
-	res := Solve(m, Config{})
+	res := Solve(context.Background(), m, Config{})
 	if !res.Converged {
 		t.Error("LR should converge immediately on a conflict-free instance")
 	}
@@ -137,7 +138,7 @@ func TestLRPrefersSharedInterval(t *testing.T) {
 	c1 := d.AddPin("c1", nc, geom.MakeRect(2, 3, 2, 3))
 	c2 := d.AddPin("c2", nc, geom.MakeRect(8, 3, 8, 3))
 	m := buildModel(t, d)
-	res := Solve(m, Config{})
+	res := Solve(context.Background(), m, Config{})
 	if res.Solution.ByPin[c1] != res.Solution.ByPin[c2] {
 		t.Errorf("pins got intervals %d and %d, want the shared intra-panel interval",
 			res.Solution.ByPin[c1], res.Solution.ByPin[c2])
@@ -148,7 +149,7 @@ func TestSkipRefinementMayLeaveViolations(t *testing.T) {
 	// With one iteration and no refinement, the greedy pass picks maximal
 	// overlapping intervals and violations survive.
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{MaxIterations: 1, SkipRefinement: true})
+	res := Solve(context.Background(), m, Config{MaxIterations: 1, SkipRefinement: true})
 	if res.Converged {
 		t.Skip("instance converged in one iteration; nothing to assert")
 	}
@@ -159,7 +160,7 @@ func TestSkipRefinementMayLeaveViolations(t *testing.T) {
 
 func TestRefinementRepairsSingleIteration(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{MaxIterations: 1})
+	res := Solve(context.Background(), m, Config{MaxIterations: 1})
 	if res.Solution.Violations != 0 {
 		t.Fatalf("refinement left %d violations", res.Solution.Violations)
 	}
@@ -170,7 +171,7 @@ func TestRefinementRepairsSingleIteration(t *testing.T) {
 
 func TestFullSubgradientAlsoConverges(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{FullSubgradient: true})
+	res := Solve(context.Background(), m, Config{FullSubgradient: true})
 	if res.Solution.Violations != 0 {
 		t.Fatalf("full-subgradient run left %d violations", res.Solution.Violations)
 	}
@@ -181,7 +182,7 @@ func TestFullSubgradientAlsoConverges(t *testing.T) {
 
 func TestTieBreakAblationStillLegal(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{DisableSameNetTieBreak: true})
+	res := Solve(context.Background(), m, Config{DisableSameNetTieBreak: true})
 	if err := m.CheckLegal(res.Solution); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestLRLegalOnRandomPanels(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		d := randomPanel(t, rng, 16+rng.Intn(20), 4+rng.Intn(20))
 		m := buildModel(t, d)
-		res := Solve(m, Config{})
+		res := Solve(context.Background(), m, Config{})
 		if err := m.CheckLegal(res.Solution); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -218,7 +219,7 @@ func TestLRCloseToILPOnRandomPanels(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomPanel(t, rng, 14+rng.Intn(8), 4+rng.Intn(6))
 		m := buildModel(t, d)
-		lrRes := Solve(m, Config{})
+		lrRes := Solve(context.Background(), m, Config{})
 		ilpSol, _, err := m.SolveILP(ilp.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +238,7 @@ func TestLRCloseToILPOnRandomPanels(t *testing.T) {
 
 func TestIterationBoundRespected(t *testing.T) {
 	m := buildModel(t, contestedDesign(t))
-	res := Solve(m, Config{MaxIterations: 3})
+	res := Solve(context.Background(), m, Config{MaxIterations: 3})
 	if res.Iterations > 3 {
 		t.Errorf("iterations = %d, want <= 3", res.Iterations)
 	}

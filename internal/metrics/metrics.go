@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cpr/internal/design"
-	"cpr/internal/grid"
 	"cpr/internal/router"
 )
 
@@ -162,7 +161,3 @@ func Average(rows []Routing) Routing {
 	avg.InitialCongested = int(float64(avg.InitialCongested)/n + 0.5)
 	return avg
 }
-
-// CongestedGrids re-counts the congested grid metric directly from a grid
-// (used in tests to cross-check router bookkeeping).
-func CongestedGrids(g *grid.Graph) int { return g.CongestedCount() }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"cpr/internal/assign"
 	"cpr/internal/design"
 	"cpr/internal/geom"
 	"cpr/internal/ilp"
@@ -153,6 +152,38 @@ func TestRouterFingerprintBytes(t *testing.T) {
 	}
 }
 
+// TestSolverFingerprintBytes pins the solver half of every panel and
+// design key byte for byte, with the cacheability verdict that decides
+// whether a key is formed at all.
+func TestSolverFingerprintBytes(t *testing.T) {
+	cases := []struct {
+		name      string
+		cfg       SolverConfig
+		want      string
+		cacheable bool
+	}{
+		{"zero", SolverConfig{},
+			"pinopt-v1 optimizer=lr lr=0,0,false,false,false,false ilp=0,0", true},
+		{"ilp", SolverConfig{UseILP: true},
+			"pinopt-v1 optimizer=ilp lr=0,0,false,false,false,false ilp=0,0", true},
+		{"ilp max nodes", SolverConfig{UseILP: true, ILP: ilp.Config{MaxNodes: 1000}},
+			"pinopt-v1 optimizer=ilp lr=0,0,false,false,false,false ilp=1000,0", true},
+		{"ilp time limit", SolverConfig{UseILP: true, ILP: ilp.Config{TimeLimit: 1500 * time.Millisecond}},
+			"pinopt-v1 optimizer=ilp lr=0,0,false,false,false,false ilp=0,1500000000", false},
+		{"lr toggles", SolverConfig{LR: lagrange.Config{
+			DisableSameNetTieBreak: true, FullSubgradient: true, SkipRefinement: true, SkipPostImprove: true}},
+			"pinopt-v1 optimizer=lr lr=0,0,true,true,true,true ilp=0,0", true},
+	}
+	for _, tc := range cases {
+		if got := tc.cfg.Fingerprint(); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %q, want %q", tc.name, got, tc.want)
+		}
+		if got := tc.cfg.Cacheable(); got != tc.cacheable {
+			t.Errorf("%s: Cacheable() = %t, want %t", tc.name, got, tc.cacheable)
+		}
+	}
+}
+
 // TestPanelKeyFingerprint: the panel key folds in the solver fingerprint,
 // so a result-affecting option change re-addresses every panel while the
 // panel-input hash alone stays put.
@@ -180,9 +211,8 @@ func TestPanelKeyFingerprint(t *testing.T) {
 	}
 }
 
-// TestSolverConfigCacheable pins the opt-out rules: custom profit
-// functions, caller Stop hooks, and wall-clock-limited ILP may not be
-// content-addressed.
+// TestSolverConfigCacheable pins the opt-out rule: wall-clock-limited
+// ILP may not be content-addressed.
 func TestSolverConfigCacheable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -192,8 +222,6 @@ func TestSolverConfigCacheable(t *testing.T) {
 		{"default LR", SolverConfig{}, true},
 		{"tuned LR", SolverConfig{LR: lagrange.Config{MaxIterations: 50, Alpha: 0.9}}, true},
 		{"ILP without time limit", SolverConfig{UseILP: true, ILP: ilp.Config{MaxNodes: 1000}}, true},
-		{"custom profit", SolverConfig{Profit: assign.ProfitFn(func(length int) float64 { return 1 })}, false},
-		{"custom stop hook", SolverConfig{LR: lagrange.Config{Stop: func() bool { return false }}}, false},
 		{"ILP with time limit", SolverConfig{UseILP: true, ILP: ilp.Config{TimeLimit: time.Second}}, false},
 	}
 	for _, tc := range cases {

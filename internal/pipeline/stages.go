@@ -29,36 +29,14 @@ type SolverConfig struct {
 	ILP ilp.Config
 	// LR configures the Lagrangian relaxation solver.
 	LR lagrange.Config
-	// Profit is the interval profit function; nil selects the paper's
-	// assign.SqrtProfit. A non-nil function makes the config uncacheable
-	// (function identity cannot be content-addressed).
-	Profit assign.ProfitFn
-}
-
-// profit resolves the effective profit function.
-func (c SolverConfig) profit() assign.ProfitFn {
-	if c.Profit != nil {
-		return c.Profit
-	}
-	return assign.SqrtProfit
 }
 
 // Cacheable reports whether panel artifacts produced under this config
-// may be content-addressed and reused. Three things opt out:
-//
-//   - a custom Profit function (identity not addressable);
-//   - a caller-provided LR.Stop hook (it can truncate the solve
-//     non-deterministically);
-//   - ILP with a wall-clock TimeLimit (the incumbent at the deadline is
-//     timing-dependent, so equal keys would not imply equal artifacts).
+// may be content-addressed and reused. ILP with a wall-clock TimeLimit
+// opts out: the incumbent at the deadline is timing-dependent, so equal
+// keys would not imply equal artifacts.
 func (c SolverConfig) Cacheable() bool {
-	if c.Profit != nil || c.LR.Stop != nil {
-		return false
-	}
-	if c.UseILP && c.ILP.TimeLimit > 0 {
-		return false
-	}
-	return true
+	return !(c.UseILP && c.ILP.TimeLimit > 0)
 }
 
 // Fingerprint renders the result-affecting solver fields into a
@@ -79,43 +57,6 @@ func (c SolverConfig) Fingerprint() string {
 		c.LR.MaxIterations, c.LR.Alpha, c.LR.DisableSameNetTieBreak,
 		c.LR.FullSubgradient, c.LR.SkipRefinement, c.LR.SkipPostImprove)
 	fmt.Fprintf(&b, " ilp=%d,%d", c.ILP.MaxNodes, int64(c.ILP.TimeLimit))
-	if c.Profit != nil {
-		b.WriteString(" profit=custom")
-	}
-	if c.LR.Stop != nil {
-		b.WriteString(" stop=custom")
-	}
-	if len(c.ILP.InitialSolution) > 0 {
-		// A feasible warm start seeds the incumbent, so under a MaxNodes
-		// cap it can change which solution the limited search returns —
-		// it must reach the content address.
-		b.WriteString(" warm=")
-		b.WriteString(warmBits(c.ILP.InitialSolution))
-	}
-	return b.String()
-}
-
-// warmBits renders a warm-start vector as hex-packed bits, most
-// significant bit first, so fingerprints stay short for large panels.
-func warmBits(x []bool) string {
-	const hexdigits = "0123456789abcdef"
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", len(x))
-	nib := 0
-	for i, v := range x {
-		nib <<= 1
-		if v {
-			nib |= 1
-		}
-		if i%4 == 3 {
-			b.WriteByte(hexdigits[nib])
-			nib = 0
-		}
-	}
-	if pad := len(x) % 4; pad != 0 {
-		nib <<= 4 - pad
-		b.WriteByte(hexdigits[nib])
-	}
 	return b.String()
 }
 
@@ -139,10 +80,11 @@ func GenerateStage(d *design.Design, idx *design.TrackIndex, pinIDs []int, worke
 	return &IntervalSet{Set: set}, nil
 }
 
-// ConflictStage runs stage 2: the per-track conflict sweep plus profit
-// evaluation, producing the assignment model (paper §3.2).
-func ConflictStage(s *IntervalSet, cfg SolverConfig, workers int) *ConflictModel {
-	return &ConflictModel{Model: assign.BuildWorkers(s.Set, cfg.profit(), workers)}
+// ConflictStage runs stage 2: the per-track conflict sweep plus the
+// paper's √length profit evaluation, producing the assignment model
+// (paper §3.2). No solver option affects this stage.
+func ConflictStage(s *IntervalSet, _ SolverConfig, workers int) *ConflictModel {
+	return &ConflictModel{Model: assign.BuildWorkers(s.Set, assign.SqrtProfit, workers)}
 }
 
 // AssignStage runs stage 3: weighted interval assignment with the
@@ -176,9 +118,6 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 	if lrCfg.Workers == 0 {
 		lrCfg.Workers = workers
 	}
-	if lrCfg.Stop == nil && ctx.Done() != nil {
-		lrCfg.Stop = func() bool { return ctx.Err() != nil }
-	}
 	var series []lagrange.IterationStat
 	em := telemetry.EmitterFrom(ctx)
 	if (sp != nil || em != nil) && lrCfg.Observer == nil {
@@ -195,7 +134,7 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 			})
 		}
 	}
-	res := lagrange.Solve(model, lrCfg)
+	res := lagrange.Solve(ctx, model, lrCfg)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

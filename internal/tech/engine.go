@@ -333,11 +333,76 @@ func RulesFor(t *Technology) RuleEngine {
 func (t *Technology) Rules() RuleEngine { return RulesFor(t) }
 
 // lineEndRules is the engine-independent core every engine shares: the
-// SADP-motivated line-end geometry fields of Technology plus the grid
-// cost parameters.
+// SADP-motivated line-end geometry fields of Technology, the grid cost
+// parameters, and the base line-end rule set (one spacing rule between
+// adjacent tips, one minimum length) that sadp and tpl apply as is and
+// lele overrides.
 type lineEndRules struct {
 	ext, minLen, spacing    int
 	wire, via, forbiddenVia int
+}
+
+// ClearanceMargin is the line-end extension plus half the spacing rule
+// (rounded up): two nets whose clearance cells do not collide always
+// satisfy gap >= 2*ext + spacing after extension.
+func (r lineEndRules) ClearanceMargin() int { return r.ext + (r.spacing+1)/2 }
+
+// AvoidMargin: other strips are already extended by ext, so ext +
+// spacing keeps the final gap >= spacing for a rerouted net.
+func (r lineEndRules) AvoidMargin() int { return r.ext + r.spacing }
+
+// SequentialClearance is the one-sided burden a committed strip imposes:
+// the later net's extension is not yet known, so both extensions plus
+// the spacing fall on the avoid zone.
+func (r lineEndRules) SequentialClearance() int { return 2*r.ext + r.spacing }
+
+// RuleReach bounds how far the extension, minimum-length growth, and
+// spacing rule can couple strips beyond their raw geometry.
+func (r lineEndRules) RuleReach() int { return r.ext + r.minLen + r.spacing + 2 }
+
+// ConflictRadius and ConflictWeight are zero: the base rules price no
+// cross-track conflicts.
+func (r lineEndRules) ConflictRadius() int     { return 0 }
+func (r lineEndRules) ConflictWeight() float64 { return 0 }
+
+// TrackViolations: adjacent diff-net extended strips must keep the
+// line-end spacing; both participants are charged.
+func (r lineEndRules) TrackViolations(strips []Seg, vio func(net int)) {
+	for i := 1; i < len(strips); i++ {
+		a, b := strips[i-1], strips[i]
+		if a.Net == b.Net {
+			continue
+		}
+		if b.Lo-a.Hi-1 < r.spacing {
+			vio(a.Net)
+			vio(b.Net)
+		}
+	}
+}
+
+// CheckTrack reports the spacing violations, then the minimum-length
+// violations, of one track — the exact message bytes the verifier has
+// always produced.
+func (r lineEndRules) CheckTrack(layer, track int, strips []Seg, netName func(int) string,
+	errf func(format string, args ...interface{})) {
+
+	for i := 1; i < len(strips); i++ {
+		a, b := strips[i-1], strips[i]
+		if a.Net == b.Net {
+			continue
+		}
+		gap := b.Lo - a.Hi - 1
+		if gap < r.spacing {
+			errf("line-end spacing violation on layer %d track %d between nets %s and %s (gap %d < %d)",
+				layer, track, netName(a.Net), netName(b.Net), gap, r.spacing)
+		}
+	}
+	for _, s := range strips {
+		if s.Hi-s.Lo+1 < r.minLen {
+			errf("minimum line length violation on layer %d track %d net %s (len %d < %d)",
+				layer, track, netName(s.Net), s.Hi-s.Lo+1, r.minLen)
+		}
+	}
 }
 
 func (r lineEndRules) LineEndExtension() int { return r.ext }

@@ -36,9 +36,6 @@ func (r leleRules) SequentialClearance() int { return 2*r.ext + r.sameMask }
 
 func (r leleRules) RuleReach() int { return r.ext + r.minLen + r.sameMask + 2 }
 
-func (r leleRules) ConflictRadius() int     { return 0 }
-func (r leleRules) ConflictWeight() float64 { return 0 }
-
 // TrackViolations charges adjacent diff-net tips below the diff-mask
 // spacing and next-nearest diff-net tips below the same-mask spacing.
 func (r leleRules) TrackViolations(strips []Seg, vio func(net int)) {

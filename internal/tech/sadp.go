@@ -2,10 +2,11 @@ package tech
 
 import "sort"
 
-// sadpRules is the default engine: self-aligned double patterning. The
-// track-level rules are exactly the pre-engine router's behavior — the
-// engine refactor is byte-invisible under sadp — and the mask analysis
-// is AnalyzeCuts under the technology's cut parameters.
+// sadpRules is the default engine: self-aligned double patterning. Its
+// track-level rules are the shared lineEndRules — exactly the pre-engine
+// router's behavior, so the engine refactor is byte-invisible under
+// sadp — and the mask analysis is AnalyzeCuts under the technology's cut
+// parameters.
 type sadpRules struct {
 	lineEndRules
 	cutSpacing int
@@ -14,67 +15,6 @@ type sadpRules struct {
 
 func (r sadpRules) Name() string { return EngineSADP }
 func (r sadpRules) Colors() int  { return 1 }
-
-// ClearanceMargin is the line-end extension plus half the spacing rule
-// (rounded up): two nets whose clearance cells do not collide always
-// satisfy gap >= 2*ext + spacing after extension.
-func (r sadpRules) ClearanceMargin() int { return r.ext + (r.spacing+1)/2 }
-
-// AvoidMargin: other strips are already extended by ext, so ext +
-// spacing keeps the final gap >= spacing for a rerouted net.
-func (r sadpRules) AvoidMargin() int { return r.ext + r.spacing }
-
-// SequentialClearance is the one-sided burden a committed strip imposes:
-// the later net's extension is not yet known, so both extensions plus
-// the spacing fall on the avoid zone.
-func (r sadpRules) SequentialClearance() int { return 2*r.ext + r.spacing }
-
-// RuleReach bounds how far the extension, minimum-length growth, and
-// spacing rule can couple strips beyond their raw geometry.
-func (r sadpRules) RuleReach() int { return r.ext + r.minLen + r.spacing + 2 }
-
-func (r sadpRules) ConflictRadius() int     { return 0 }
-func (r sadpRules) ConflictWeight() float64 { return 0 }
-
-// TrackViolations: adjacent diff-net extended strips must keep the
-// line-end spacing; both participants are charged.
-func (r sadpRules) TrackViolations(strips []Seg, vio func(net int)) {
-	for i := 1; i < len(strips); i++ {
-		a, b := strips[i-1], strips[i]
-		if a.Net == b.Net {
-			continue
-		}
-		if b.Lo-a.Hi-1 < r.spacing {
-			vio(a.Net)
-			vio(b.Net)
-		}
-	}
-}
-
-// CheckTrack reports the spacing violations, then the minimum-length
-// violations, of one track — the exact message bytes the verifier has
-// always produced.
-func (r sadpRules) CheckTrack(layer, track int, strips []Seg, netName func(int) string,
-	errf func(format string, args ...interface{})) {
-
-	for i := 1; i < len(strips); i++ {
-		a, b := strips[i-1], strips[i]
-		if a.Net == b.Net {
-			continue
-		}
-		gap := b.Lo - a.Hi - 1
-		if gap < r.spacing {
-			errf("line-end spacing violation on layer %d track %d between nets %s and %s (gap %d < %d)",
-				layer, track, netName(a.Net), netName(b.Net), gap, r.spacing)
-		}
-	}
-	for _, s := range strips {
-		if s.Hi-s.Lo+1 < r.minLen {
-			errf("minimum line length violation on layer %d track %d net %s (len %d < %d)",
-				layer, track, netName(s.Net), s.Hi-s.Lo+1, r.minLen)
-		}
-	}
-}
 
 // AnalyzeMask runs AnalyzeCuts under the technology's extension, merge
 // tolerance, and cut spacing.

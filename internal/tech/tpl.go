@@ -17,7 +17,8 @@ import (
 // During negotiation the router additionally prices other nets'
 // occupancy on tracks within ConflictRadius — the stitch cost term —
 // so dense conflict neighbourhoods are avoided before they materialize
-// in the conflict graph.
+// in the conflict graph. Along each track the base line-end rules
+// (lineEndRules) still apply.
 type tplRules struct {
 	lineEndRules
 	colorSpacing  int
@@ -27,56 +28,16 @@ type tplRules struct {
 func (r tplRules) Name() string { return EngineTPL }
 func (r tplRules) Colors() int  { return 3 }
 
-func (r tplRules) ClearanceMargin() int     { return r.ext + (r.spacing+1)/2 }
-func (r tplRules) AvoidMargin() int         { return r.ext + r.spacing }
-func (r tplRules) SequentialClearance() int { return 2*r.ext + r.spacing }
-
 // RuleReach adds the color spacing on top of the line-end reach: the
 // conflict graph (and the negotiation pricing term) couples strips up
 // to ColorSpacing tracks apart.
-func (r tplRules) RuleReach() int { return r.ext + r.minLen + r.spacing + 2 + r.colorSpacing }
+func (r tplRules) RuleReach() int { return r.lineEndRules.RuleReach() + r.colorSpacing }
 
 // ConflictRadius prices occupancy on tracks strictly closer than the
 // color spacing — exactly the tracks a conflict edge can reach.
 func (r tplRules) ConflictRadius() int { return r.colorSpacing - 1 }
 
 func (r tplRules) ConflictWeight() float64 { return 0.25 * float64(r.stitchPenalty) }
-
-// TrackViolations: the base line-end spacing still applies under TPL.
-func (r tplRules) TrackViolations(strips []Seg, vio func(net int)) {
-	for i := 1; i < len(strips); i++ {
-		a, b := strips[i-1], strips[i]
-		if a.Net == b.Net {
-			continue
-		}
-		if b.Lo-a.Hi-1 < r.spacing {
-			vio(a.Net)
-			vio(b.Net)
-		}
-	}
-}
-
-func (r tplRules) CheckTrack(layer, track int, strips []Seg, netName func(int) string,
-	errf func(format string, args ...interface{})) {
-
-	for i := 1; i < len(strips); i++ {
-		a, b := strips[i-1], strips[i]
-		if a.Net == b.Net {
-			continue
-		}
-		gap := b.Lo - a.Hi - 1
-		if gap < r.spacing {
-			errf("line-end spacing violation on layer %d track %d between nets %s and %s (gap %d < %d)",
-				layer, track, netName(a.Net), netName(b.Net), gap, r.spacing)
-		}
-	}
-	for _, s := range strips {
-		if s.Hi-s.Lo+1 < r.minLen {
-			errf("minimum line length violation on layer %d track %d net %s (len %d < %d)",
-				layer, track, netName(s.Net), s.Hi-s.Lo+1, r.minLen)
-		}
-	}
-}
 
 // atom is one single-mask piece of metal during coloring: a whole
 // segment, or one half of a stitched segment.
